@@ -14,14 +14,6 @@ speedup and the estimation error of the sampled leg against the exact
 truth.  ``app.check()`` runs on both legs, so the section also proves the
 fast-forward path is architecturally exact.
 
-A third section benchmarks parallel sharded execution
-(``repro.engine.pdes``): each entry runs its N validation replicas once
-sequentially in-process and once through ``run_sharded``, recording the
-serial-over-parallel speedup.  The speedup floor is only asserted on
-hosts with at least 2 CPUs — on a single core the parallel leg adds
-process-spawn overhead and can only lose; its entries are still recorded
-so the trajectory stays honest.
-
 The payload is written to ``BENCH_wallclock.json`` (override with
 ``REPRO_BENCH_OUT``) and embeds the full host/python fingerprint
 (``repro.obs.host_fingerprint``) so the perf trajectory stays attributable
@@ -33,9 +25,6 @@ when runs land from different machines.  Environment knobs:
 * ``REPRO_PERF_SAMPLED=0``     — skip the sampled section entirely.
 * ``REPRO_PERF_MIN_SAMPLED_SPEEDUP=X`` — assert sampled speedup >= X.
 * ``REPRO_PERF_MAX_SAMPLED_ERROR=PCT`` — assert max |cycles err| <= PCT.
-* ``REPRO_PERF_PARALLEL=0``    — skip the parallel section entirely.
-* ``REPRO_PERF_MIN_PARALLEL_SPEEDUP=X`` — assert parallel speedup >= X
-  (default 1.4 on hosts with >= 2 CPUs; never asserted on 1 CPU).
 * ``REPRO_PERF_BASELINE=FILE`` — compare against a previous payload and
   fail on throughput regressions beyond ``REPRO_PERF_TOLERANCE``
   (fractional, default 0.15).
@@ -47,19 +36,15 @@ import os
 
 from repro.harness.perf import (
     DEFAULT_MIX,
-    PARALLEL_MIX,
     SAMPLED_MIX,
     SMOKE_MIX,
-    SMOKE_PARALLEL_MIX,
     SMOKE_SAMPLED_MIX,
     compare_baseline,
     format_baseline_report,
-    format_parallel_report,
     format_report,
     format_sampled_report,
     read_bench,
     run_mix,
-    run_parallel_mix,
     run_sampled_mix,
     write_bench,
 )
@@ -80,11 +65,6 @@ def test_wallclock_throughput():
         sampled_mix = SMOKE_SAMPLED_MIX if smoke else SAMPLED_MIX
         payload["sampled"] = run_sampled_mix(list(sampled_mix), repeats=1)
         print_block(format_sampled_report(payload["sampled"]))
-
-    if os.environ.get("REPRO_PERF_PARALLEL", "1") != "0":
-        parallel_mix = SMOKE_PARALLEL_MIX if smoke else PARALLEL_MIX
-        payload["parallel"] = run_parallel_mix(list(parallel_mix), repeats=1)
-        print_block(format_parallel_report(payload["parallel"]))
 
     write_bench(payload, os.environ.get("REPRO_BENCH_OUT", "BENCH_wallclock.json"))
 
@@ -113,20 +93,6 @@ def test_wallclock_throughput():
             assert sagg["max_abs_cycles_err_pct"] <= float(cap), (
                 f"sampled cycles error {sagg['max_abs_cycles_err_pct']:.2f}% "
                 f"above allowed {cap}%"
-            )
-
-    if "parallel" in payload:
-        pagg = payload["parallel"]["aggregate"]
-        assert all(e["stats_identical"] for e in payload["parallel"]["entries"])
-        assert pagg["wall_serial_s"] > 0 and pagg["wall_parallel_s"] > 0
-        pfloor = os.environ.get("REPRO_PERF_MIN_PARALLEL_SPEEDUP")
-        cpus = os.cpu_count() or 1
-        if pfloor is None and cpus >= 2:
-            pfloor = "1.4"
-        if pfloor is not None and cpus >= 2:
-            assert pagg["speedup"] >= float(pfloor), (
-                f"parallel mix speedup {pagg['speedup']:.2f}x below "
-                f"required {pfloor}x on a {cpus}-CPU host"
             )
 
     baseline_path = os.environ.get("REPRO_PERF_BASELINE")

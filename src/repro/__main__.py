@@ -78,10 +78,9 @@ def _cmd_list(_args) -> int:
 def _cmd_run(args) -> int:
     from repro.harness import run_experiment, run_serial_baseline
 
-    shards = getattr(args, "shards", 1) or 1
     tracer = None
     sample_interval = None
-    if args.trace and shards <= 1:
+    if args.trace:
         from repro.trace import Tracer
 
         tracer = Tracer()
@@ -95,35 +94,12 @@ def _cmd_run(args) -> int:
             "init_dir": args.init_dir,
             "keep": args.keep_checkpoint,
         }
-    if shards > 1 and args.trace:
-        # Traced sharded runs go through the pdes coordinator directly:
-        # shard 0's trace (validated byte-identical across replicas) is
-        # written where --trace asked.  Like any traced run, this always
-        # simulates.
-        from repro.engine.pdes import run_sharded
-
-        if checkpoint is not None or args.sample or args.faults or args.sanitize:
-            print("repro run: --shards is incompatible with --checkpoint/"
-                  "--sample/--faults/--sanitize", file=sys.stderr)
-            return 2
-        result = run_sharded(
-            dict(
-                app_name=args.app, kind=args.config, scale=args.scale,
-                serial=args.serial, watchdog=args.watchdog,
-            ),
-            shards,
-            trace_path=args.trace,
-            sample_interval=args.trace_interval,
-        )
-        print(f"trace written  : {args.trace} (validated across "
-              f"{shards} shards)", file=sys.stderr)
-    else:
-        result = run_experiment(
-            args.app, args.config, args.scale, serial=args.serial,
-            tracer=tracer, sample_interval=sample_interval,
-            faults=args.faults, sanitize=args.sanitize, watchdog=args.watchdog,
-            checkpoint=checkpoint, sampling=args.sample, shards=shards,
-        )
+    result = run_experiment(
+        args.app, args.config, args.scale, serial=args.serial,
+        tracer=tracer, sample_interval=sample_interval,
+        faults=args.faults, sanitize=args.sanitize, watchdog=args.watchdog,
+        checkpoint=checkpoint, sampling=args.sample,
+    )
     if tracer is not None:
         from repro.trace import export_chrome_trace
 
@@ -177,12 +153,6 @@ def _cmd_run(args) -> int:
         print("warm start     : init phase restored from snapshot")
     if "ckpt_snapshots" in result.extras:
         print(f"snapshots taken: {int(result.extras['ckpt_snapshots'])}")
-    if "pdes_shards" in result.extras:
-        print(f"shards         : {int(result.extras['pdes_shards'])} "
-              "validated replicas (min lookahead "
-              f"{int(result.extras.get('pdes_min_lookahead', 0))} cycles, "
-              "barrier wait "
-              f"{result.extras.get('pdes_lookahead_wall_s', 0.0):.2f}s)")
     if args.baseline:
         serial = run_serial_baseline(args.app, args.scale)
         print(f"speedup vs serial-IO: {serial.cycles / result.cycles:.2f}x")
@@ -265,19 +235,15 @@ def _cmd_fig(args) -> int:
 def _cmd_perf(args) -> int:
     from repro.harness.perf import (
         DEFAULT_MIX,
-        PARALLEL_MIX,
         SAMPLED_MIX,
         SMOKE_MIX,
-        SMOKE_PARALLEL_MIX,
         SMOKE_SAMPLED_MIX,
         compare_baseline,
         format_baseline_report,
-        format_parallel_report,
         format_report,
         format_sampled_report,
         read_bench,
         run_mix,
-        run_parallel_mix,
         run_sampled_mix,
         write_bench,
     )
@@ -294,16 +260,10 @@ def _cmd_perf(args) -> int:
     if args.sampled:
         sampled_mix = SMOKE_SAMPLED_MIX if args.smoke else SAMPLED_MIX
         payload["sampled"] = run_sampled_mix(list(sampled_mix), repeats=1)
-    if args.parallel:
-        parallel_mix = SMOKE_PARALLEL_MIX if args.smoke else PARALLEL_MIX
-        payload["parallel"] = run_parallel_mix(list(parallel_mix), repeats=1)
     print(format_report(payload))
     if args.sampled:
         print()
         print(format_sampled_report(payload["sampled"]))
-    if args.parallel:
-        print()
-        print(format_parallel_report(payload["parallel"]))
     if args.out:
         write_bench(payload, args.out)
         print(f"\nbench written  : {args.out}", file=sys.stderr)
@@ -653,13 +613,6 @@ def main(argv=None) -> int:
                                  "traffic/energy become extrapolated estimates "
                                  "(sampled results get their own cache/store "
                                  "keys and never mix with exact ones)")
-    run_parser.add_argument("--shards", type=positive_int, default=1,
-                            metavar="N",
-                            help="run as N validated parallel replicas "
-                                 "(repro.engine.pdes): results are "
-                                 "byte-identical to --shards 1 by checked "
-                                 "construction; incompatible with "
-                                 "--checkpoint/--sample/--faults/--sanitize")
 
     trace_parser = sub.add_parser(
         "trace",
@@ -799,11 +752,6 @@ def main(argv=None) -> int:
         "--sampled", action="store_true",
         help="also benchmark the exact-vs-sampled pairs (repro.sampling) "
              "and record them in the payload's 'sampled' section")
-    perf_parser.add_argument(
-        "--parallel", action="store_true",
-        help="also benchmark serial-vs-sharded replica pairs "
-             "(repro.engine.pdes) and record them in the payload's "
-             "'parallel' section")
     perf_parser.add_argument(
         "--baseline", default=None, metavar="FILE",
         help="compare against a committed BENCH_wallclock.json and exit "

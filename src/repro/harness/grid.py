@@ -32,11 +32,9 @@ from typing import Dict, List, Optional, Sequence
 
 import repro.harness.runner as runner
 from repro.engine.checkpoint import ParkedRun
-from repro.engine.watchdog import DeadlockError
 from repro.harness import termlog
 from repro.harness.retry import Backoff, BackoffPolicy
-from repro.harness.runner import ExperimentResult
-from repro.sanitize import SanitizerError
+from repro.harness.runner import DETERMINISTIC_ERRORS, ExperimentResult
 
 #: Default retry schedule for failed grid workers: exponential backoff
 #: with decorrelated jitter (repro.harness.retry), shared discipline with
@@ -97,12 +95,6 @@ class GridPoint:
     #: points pickle across worker processes).  Injected by run_grid's
     #: checkpoint_dir machinery; not part of the experiment's identity.
     checkpoint: Optional[dict] = None
-    #: Validated parallel replicas per point (repro.engine.pdes); None or
-    #: 1 = plain serial run.  An execution strategy, not part of the
-    #: experiment's identity — memo/store keys ignore it.  run_grid divides
-    #: its worker budget by the largest shard count so shards × jobs never
-    #: oversubscribes the host.
-    shards: Optional[int] = None
 
     def label(self) -> str:
         parts = [self.app, self.kind, self.scale]
@@ -120,8 +112,6 @@ class GridPoint:
             parts.append("sanitize")
         if self.sampling is not None:
             parts.append(f"sample={self.sampling}")
-        if self.shards is not None and self.shards > 1:
-            parts.append(f"shards={self.shards}")
         return " ".join(parts)
 
     def as_fields(self) -> dict:
@@ -144,7 +134,6 @@ class GridPoint:
             watchdog=self.watchdog,
             checkpoint=self.checkpoint,
             sampling=self.sampling,
-            shards=self.shards,
         )
 
 
@@ -258,12 +247,21 @@ class _Progress:
 
 
 # ----------------------------------------------------------------------
-# Worker process entry point
+# Worker processes: the core shared by run_grid and repro.serve
 # ----------------------------------------------------------------------
-def _worker_entry(conn, point_kwargs: dict, results_dir: Optional[str]) -> None:
+def _worker_entry(
+    conn, point_kwargs: dict, results_dir: Optional[str], ledger_source: str
+) -> None:
     """Run one grid point in a child process; ship the result (or the
-    failure) back through ``conn`` as JSON-safe plain data."""
+    failure) back through ``conn`` as JSON-safe plain data.
+
+    Messages: ``("ok", {"result", "sims"})``, ``("parked", {"cycle",
+    "snapshot"})``, ``(kind, {"message", "diagnostic"})`` for a kind in
+    :data:`~repro.harness.runner.DETERMINISTIC_ERRORS`, or ``("err",
+    traceback)`` for anything else.
+    """
     try:
+        runner.LEDGER_SOURCE = ledger_source
         runner.set_result_store(results_dir)
         point = GridPoint(**point_kwargs)
         result = runner.run_experiment(**point.run_kwargs())
@@ -271,38 +269,27 @@ def _worker_entry(conn, point_kwargs: dict, results_dir: Optional[str]) -> None:
 
         # ``sims`` lets the parent's ETA estimator distinguish a real
         # simulation from a store hit (0 = satisfied from cache/store).
-        conn.send(
-            ("ok", {"result": result_to_dict(result), "sims": runner.simulation_count()})
+        message = (
+            "ok",
+            {"result": result_to_dict(result), "sims": runner.simulation_count()},
         )
     except ParkedRun as exc:
         # Preempted by a supervisor (repro.serve): the snapshot is already
         # on disk; report where the run stopped and exit cleanly.
-        try:
-            conn.send(("parked", {"cycle": exc.cycle, "snapshot": exc.path}))
-        except Exception:
-            pass
-    except DeadlockError as exc:
-        try:
-            conn.send(("deadlock", {"message": str(exc), "diagnostic": exc.diagnostic}))
-        except Exception:
-            pass
-    except SanitizerError as exc:
-        try:
-            conn.send(("violation", {"message": str(exc), "violations": exc.violations}))
-        except Exception:
-            pass
+        message = ("parked", {"cycle": exc.cycle, "snapshot": exc.path})
     except BaseException as exc:  # report, never hang the parent
-        import traceback
+        error, text, diagnostic = runner.classify_failure(exc)
+        if error in DETERMINISTIC_ERRORS:
+            message = (error, {"message": text, "diagnostic": diagnostic})
+        else:
+            import traceback
 
-        try:
-            conn.send(("err", f"{exc!r}\n{traceback.format_exc()}"))
-        except Exception:
-            pass
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
+            message = ("err", f"{exc!r}\n{traceback.format_exc()}")
+    try:
+        conn.send(message)
+        conn.close()
+    except Exception:  # the parent is gone; nobody is left to tell
+        pass
 
 
 def _live_helper_threads():
@@ -356,11 +343,102 @@ def _mp_context():
     return multiprocessing.get_context("spawn")
 
 
+class WorkerHandle:
+    """A live grid worker process plus its result pipe."""
+
+    def __init__(self, proc, conn):
+        self.proc = proc
+        self.conn = conn
+
+    @property
+    def pid(self) -> int:
+        return self.proc.pid
+
+    def alive(self) -> bool:
+        return self.proc.is_alive()
+
+    def poll_message(self):
+        """The worker's (status, payload) message, or None; "gone" when
+        the pipe broke before any message arrived."""
+        try:
+            if not self.conn.poll(0):
+                return None
+            return self.conn.recv()
+        except (EOFError, OSError):
+            return ("gone", None)
+
+    def kill(self) -> None:
+        if self.proc.is_alive():
+            self.proc.kill()
+
+    def close(self) -> None:
+        try:
+            self.conn.close()
+        except Exception:
+            pass
+        if self.proc.is_alive():
+            self.proc.terminate()
+        self.proc.join()
+
+
+def spawn_worker(point: GridPoint, ledger_source: str) -> WorkerHandle:
+    """Start one worker process running ``point``.
+
+    The worker uses this process's result store and labels its ledger
+    lines with ``ledger_source``.
+    """
+    store = runner.get_result_store()
+    results_dir = str(store.root) if store is not None else None
+    ctx = _mp_context()
+    parent_conn, child_conn = ctx.Pipe(duplex=False)
+    proc = ctx.Process(
+        target=_worker_entry,
+        args=(child_conn, point.as_fields(), results_dir, ledger_source),
+        daemon=True,
+    )
+    proc.start()
+    child_conn.close()
+    return WorkerHandle(proc, parent_conn)
+
+
+def record_lost_worker(
+    point: GridPoint,
+    ledger_source: str,
+    error: str,
+    message: str,
+    attempt: int,
+    wall_s: Optional[float],
+) -> None:
+    """Write the ledger line a worker could not write for itself.
+
+    A worker that failed inside ``run_experiment`` wrote its own line
+    before reporting; one that was killed (timeout, wedged, park grace)
+    or died silently did not, so its supervisor records the attempt.
+    """
+    from repro.obs.ledger import get_ledger
+
+    ledger = get_ledger()
+    if ledger is None:
+        return
+    ledger.record(
+        source=ledger_source,
+        outcome="failed",
+        error=error,
+        message=message.splitlines()[0] if message else error,
+        app=point.app,
+        kind=point.kind,
+        scale=point.scale,
+        serial=point.serial,
+        attempt=attempt,
+        wall_s=wall_s,
+    )
+
+
 @dataclass
 class _Running:
     point: GridPoint
-    proc: "multiprocessing.process.BaseProcess"
-    conn: object
+    handle: WorkerHandle
+    started: float
     deadline: Optional[float]
     attempt: int = 1
 
@@ -368,15 +446,6 @@ class _Running:
 # ----------------------------------------------------------------------
 # The grid driver
 # ----------------------------------------------------------------------
-def _classify_failure(exc: BaseException):
-    """(error kind, message, diagnostic dict) for a grid point failure."""
-    if isinstance(exc, DeadlockError):
-        return "deadlock", str(exc), exc.diagnostic
-    if isinstance(exc, SanitizerError):
-        return "violation", str(exc), {"violations": exc.violations}
-    return "error", f"{exc!r}", {}
-
-
 def _record_failure(
     point: GridPoint, error: str, message: str, diagnostic: dict, attempts: int
 ) -> FailedResult:
@@ -540,17 +609,6 @@ def run_grid(
     if jobs is None:
         jobs = default_jobs()
     meter = _Progress(len(points), termlog.progress_enabled(progress))
-    # Sharded points spawn their own replica processes; divide the worker
-    # budget by the widest point so shards × jobs never oversubscribes.
-    max_shards = max((point.shards or 1 for point in points), default=1)
-    if max_shards > 1 and jobs > 1:
-        budgeted = max(1, jobs // max_shards)
-        if budgeted != jobs:
-            meter.note(
-                f"grid: {jobs} jobs / {max_shards}-shard points -> "
-                f"{budgeted} concurrent grid worker(s)"
-            )
-        jobs = budgeted
     if not points:
         return []
     if warm_init:
@@ -566,7 +624,7 @@ def run_grid(
             except Exception as exc:
                 if on_error != "record":
                     raise
-                error, message, diagnostic = _classify_failure(exc)
+                error, message, diagnostic = runner.classify_failure(exc)
                 results.append(
                     _record_failure(point, error, message, diagnostic, attempts=1)
                 )
@@ -589,9 +647,6 @@ def _run_parallel(
 ) -> List[ExperimentResult]:
     from repro.harness.export import result_from_dict
 
-    store = runner.get_result_store()
-    results_dir = str(store.root) if store is not None else None
-    ctx = _mp_context()
     pending = deque(enumerate(points))
     running: Dict[int, _Running] = {}
     results: List[Optional[ExperimentResult]] = [None] * len(points)
@@ -603,60 +658,26 @@ def _run_parallel(
     delayed: Dict[int, tuple] = {}
 
     def spawn(idx: int, point: GridPoint, attempt: int) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_worker_entry,
-            args=(child_conn, point.as_fields(), results_dir),
-            # Daemonic processes may not have children, and a sharded
-            # point spawns its own replica workers; the reap machinery
-            # (not daemonization) is what cleans these up either way.
-            daemon=(point.shards or 1) <= 1,
-        )
-        proc.start()
-        child_conn.close()
-        deadline = (time.monotonic() + timeout) if timeout else None
-        running[idx] = _Running(point, proc, parent_conn, deadline, attempt)
-
-    def reap(idx: int) -> None:
-        slot = running.pop(idx)
-        slot.conn.close()
-        if slot.proc.is_alive():
-            slot.proc.terminate()
-        slot.proc.join()
+        handle = spawn_worker(point, "grid")
+        now = time.monotonic()
+        deadline = (now + timeout) if timeout else None
+        running[idx] = _Running(point, handle, now, deadline, attempt)
 
     def fail(
         idx: int,
         reason: str,
         error: str = "error",
         diagnostic: Optional[dict] = None,
-        retryable: bool = True,
         worker_reported: bool = True,
     ) -> None:
-        slot = running[idx]
-        reap(idx)
-        # A worker that failed inside run_experiment wrote its own ledger
-        # line before reporting; a killed or timed-out worker could not, so
-        # the parent records the attempt on its behalf.
+        slot = running.pop(idx)
+        slot.handle.close()
         if not worker_reported:
-            from repro.obs.ledger import get_ledger
-
-            ledger = get_ledger()
-            if ledger is not None:
-                ledger.record(
-                    source="grid",
-                    outcome="failed",
-                    error=error,
-                    message=reason.splitlines()[0] if reason else error,
-                    app=slot.point.app,
-                    kind=slot.point.kind,
-                    scale=slot.point.scale,
-                    serial=slot.point.serial,
-                    attempt=slot.attempt,
-                    wall_s=timeout if error == "timeout" else None,
-                )
-        # Deadlocks and sanitizer violations are deterministic functions
-        # of the grid point: a retry would only reproduce them.
-        if retryable and slot.attempt <= retries:
+            record_lost_worker(
+                slot.point, "grid", error, reason, slot.attempt,
+                wall_s=time.monotonic() - slot.started,
+            )
+        if error not in DETERMINISTIC_ERRORS and slot.attempt <= retries:
             state = backoffs.setdefault(idx, Backoff(policy))
             delay = state.fail()
             meter.note(
@@ -671,8 +692,6 @@ def _run_parallel(
             )
             meter.step(slot.point.label())
         else:
-            for other in list(running):
-                reap(other)
             raise GridError(
                 f"grid point {slot.point.label()} failed after "
                 f"{slot.attempt} attempt(s): {reason}"
@@ -694,20 +713,12 @@ def _run_parallel(
             made_progress = False
             for idx in list(running):
                 slot = running[idx]
-                if slot.conn.poll(0):
-                    try:
-                        status, payload = slot.conn.recv()
-                    except (EOFError, OSError):
-                        made_progress = True
-                        fail(
-                            idx,
-                            "worker died before reporting a result",
-                            worker_reported=False,
-                        )
-                        continue
+                message = slot.handle.poll_message()
+                if message is not None:
                     made_progress = True
+                    status, payload = message
                     if status == "ok":
-                        reap(idx)
+                        running.pop(idx).handle.close()
                         result = result_from_dict(payload["result"])
                         runner.adopt_result(
                             result,
@@ -723,16 +734,10 @@ def _run_parallel(
                         meter.step(
                             slot.point.label(), instant=(payload["sims"] == 0)
                         )
-                    elif status == "deadlock":
+                    elif status in DETERMINISTIC_ERRORS:
                         fail(
-                            idx, payload["message"], error="deadlock",
-                            diagnostic=payload.get("diagnostic"), retryable=False,
-                        )
-                    elif status == "violation":
-                        fail(
-                            idx, payload["message"], error="violation",
-                            diagnostic={"violations": payload.get("violations", [])},
-                            retryable=False,
+                            idx, payload["message"], error=status,
+                            diagnostic=payload.get("diagnostic"),
                         )
                     elif status == "parked":
                         # The grid never requests parks itself (only the
@@ -744,13 +749,19 @@ def _run_parallel(
                             f"worker parked at cycle {payload.get('cycle')}",
                             error="parked",
                         )
+                    elif status == "gone":
+                        fail(
+                            idx,
+                            "worker died before reporting a result",
+                            worker_reported=False,
+                        )
                     else:
                         fail(idx, payload)
-                elif not slot.proc.is_alive():
+                elif not slot.handle.alive():
                     made_progress = True
                     fail(
                         idx,
-                        f"worker exited with code {slot.proc.exitcode}",
+                        f"worker exited with code {slot.handle.proc.exitcode}",
                         worker_reported=False,
                     )
                 elif slot.deadline is not None and time.monotonic() > slot.deadline:
@@ -764,6 +775,6 @@ def _run_parallel(
             if not made_progress:
                 time.sleep(0.02)
     finally:
-        for idx in list(running):
-            reap(idx)
+        for slot in running.values():
+            slot.handle.close()
     return results  # type: ignore[return-value]

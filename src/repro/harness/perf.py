@@ -26,7 +26,6 @@ from repro.obs import host_fingerprint
 
 #: Result schema version for BENCH_wallclock.json.
 #: 2: added the ``sampled`` section (exact-vs-sampled speedup + error).
-#: 3: added the ``parallel`` section (sharded-replica speedup).
 BENCH_SCHEMA = 3
 
 
@@ -86,38 +85,6 @@ SAMPLED_MIX: Tuple[SampledPerfEntry, ...] = (
 #: Sampled smoke pair for CI (seconds).
 SMOKE_SAMPLED_MIX: Tuple[SampledPerfEntry, ...] = (
     SampledPerfEntry("cilk5-cs", "bt-hcc-dts-dnv", "quick", "40000:16000:4000"),
-)
-
-
-@dataclass(frozen=True)
-class ParallelPerfEntry:
-    """One serial-vs-sharded benchmark pair (repro.engine.pdes).
-
-    The serial leg runs the entry's ``shards`` validation replicas
-    sequentially in-process (sum of legs — what a trusted differential
-    run costs without parallelism); the parallel leg runs the same
-    replicas through :func:`repro.engine.pdes.run_sharded` (max of
-    legs plus coordination).  Both legs produce the same validated
-    observables, so the pair is a determinism proof as well.
-    """
-
-    app: str
-    kind: str
-    scale: str
-    shards: int = 2
-
-
-#: The parallel mix: big-enough runs that replica wall time dominates
-#: process spawn, on the config whose ULI/steal traffic stresses the
-#: cross-engine validation hardest.
-PARALLEL_MIX: Tuple[ParallelPerfEntry, ...] = (
-    ParallelPerfEntry("cilk5-cs", "bt-hcc-dts-dnv", "quick", shards=2),
-    ParallelPerfEntry("ligra-bfs", "bt-hcc-dnv", "quick", shards=2),
-)
-
-#: Parallel smoke pair for CI (seconds).
-SMOKE_PARALLEL_MIX: Tuple[ParallelPerfEntry, ...] = (
-    ParallelPerfEntry("cilk5-cs", "bt-hcc-dts-dnv", "tiny", shards=2),
 )
 
 
@@ -294,99 +261,6 @@ def run_sampled_mix(
     }
 
 
-def run_parallel_entry(entry: ParallelPerfEntry, repeats: int = 1) -> Dict:
-    """Benchmark one serial-vs-sharded pair; verify identical statistics.
-
-    Trace cross-validation is disabled for both legs
-    (``REPRO_PDES_TRACE_CHECK=0``): the stopwatch prices the replicas
-    themselves, not the optional trace export.  Statistics are still
-    fully cross-checked — the serial legs' ``StatGroup.flatten`` must
-    agree with each other here, and ``run_sharded`` validates its own
-    replicas before returning.
-    """
-    import os
-
-    from repro.engine.pdes.replicate import _replica_observables, run_sharded
-
-    run_kwargs = dict(app_name=entry.app, kind=entry.kind, scale=entry.scale)
-
-    def serial_leg() -> Dict:
-        walls = []
-        flattens = []
-        cycles = 0
-        for shard in range(entry.shards):
-            start = time.perf_counter()
-            payload = _replica_observables(
-                run_kwargs, shard, entry.shards, group="bench",
-                want_trace=False,
-            )
-            walls.append(time.perf_counter() - start)
-            flattens.append(payload["flatten"])
-            cycles = payload["result"]["cycles"]
-        if any(flat != flattens[0] for flat in flattens):
-            raise AssertionError(
-                f"{entry.app}/{entry.kind}/{entry.scale}: serial replica "
-                "legs disagree on StatGroup.flatten() — engines diverged"
-            )
-        return {"wall": sum(walls), "cycles": cycles}
-
-    def parallel_leg() -> Dict:
-        saved = os.environ.get("REPRO_PDES_TRACE_CHECK")
-        os.environ["REPRO_PDES_TRACE_CHECK"] = "0"
-        try:
-            start = time.perf_counter()
-            result = run_sharded(dict(run_kwargs), entry.shards)
-            wall = time.perf_counter() - start
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_PDES_TRACE_CHECK", None)
-            else:
-                os.environ["REPRO_PDES_TRACE_CHECK"] = saved
-        return {
-            "wall": wall,
-            "cycles": result.cycles,
-            "min_lookahead": result.extras["pdes_min_lookahead"],
-        }
-
-    serial = [serial_leg() for _ in range(repeats)]
-    parallel = [parallel_leg() for _ in range(repeats)]
-    wall_serial = min(r["wall"] for r in serial)
-    wall_parallel = min(r["wall"] for r in parallel)
-    assert serial[0]["cycles"] == parallel[0]["cycles"]
-    return {
-        "app": entry.app,
-        "kind": entry.kind,
-        "scale": entry.scale,
-        "shards": entry.shards,
-        "cycles": serial[0]["cycles"],
-        "min_lookahead": parallel[0]["min_lookahead"],
-        "wall_serial_s": wall_serial,
-        "wall_parallel_s": wall_parallel,
-        "speedup": wall_serial / wall_parallel if wall_parallel > 0 else 0.0,
-        "stats_identical": True,
-    }
-
-
-def run_parallel_mix(
-    mix: Optional[List[ParallelPerfEntry]] = None, repeats: int = 1
-) -> Dict:
-    """Run the parallel mix; returns the payload's ``parallel`` section."""
-    entries = [
-        run_parallel_entry(e, repeats=repeats)
-        for e in (mix or list(PARALLEL_MIX))
-    ]
-    wall_serial = sum(e["wall_serial_s"] for e in entries)
-    wall_parallel = sum(e["wall_parallel_s"] for e in entries)
-    return {
-        "entries": entries,
-        "aggregate": {
-            "wall_serial_s": wall_serial,
-            "wall_parallel_s": wall_parallel,
-            "speedup": wall_serial / wall_parallel if wall_parallel > 0 else 0.0,
-        },
-    }
-
-
 def run_mix(
     mix: Optional[List[PerfEntry]] = None, repeats: int = 1
 ) -> Dict:
@@ -487,12 +361,6 @@ def compare_baseline(
             payload["sampled"]["aggregate"]["speedup"],
             baseline["sampled"]["aggregate"]["speedup"],
         )
-    if payload.get("parallel") and baseline.get("parallel"):
-        check(
-            "parallel mix speedup",
-            payload["parallel"]["aggregate"]["speedup"],
-            baseline["parallel"]["aggregate"]["speedup"],
-        )
     return {
         "tolerance_pct": 100.0 * tolerance,
         "comparisons": comparisons,
@@ -537,27 +405,6 @@ def format_sampled_report(section: Dict) -> str:
         f"(exact {agg['wall_exact_s']:.1f}s vs sampled "
         f"{agg['wall_sampled_s']:.1f}s), max |cycles err| "
         f"{agg['max_abs_cycles_err_pct']:.2f}%"
-    )
-    return "\n".join(lines)
-
-
-def format_parallel_report(section: Dict) -> str:
-    """Human-readable table for the payload's ``parallel`` section."""
-    lines = [
-        f"{'app':<14} {'config':<16} {'scale':<6} {'shards':>6} "
-        f"{'serial':>8} {'parallel':>9} {'speedup':>8}"
-    ]
-    for e in section["entries"]:
-        lines.append(
-            f"{e['app']:<14} {e['kind']:<16} {e['scale']:<6} "
-            f"{e['shards']:>6} {e['wall_serial_s']:>7.2f}s "
-            f"{e['wall_parallel_s']:>8.2f}s {e['speedup']:>7.2f}x"
-        )
-    agg = section["aggregate"]
-    lines.append(
-        f"-- parallel mix: speedup {agg['speedup']:.2f}x "
-        f"(serial replicas {agg['wall_serial_s']:.1f}s vs sharded "
-        f"{agg['wall_parallel_s']:.1f}s)"
     )
     return "\n".join(lines)
 

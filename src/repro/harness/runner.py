@@ -96,6 +96,11 @@ _SIM_COUNT = 0
 _STORE_UNSET = object()
 _STORE: Union[object, Optional[ResultStore]] = _STORE_UNSET
 
+#: ``source`` of this process's ledger lines.  Grid and serve workers
+#: relabel themselves ("grid", "serve") so `repro report` can tell sweep
+#: and service work from ad-hoc runs.
+LEDGER_SOURCE = "runner"
+
 
 def default_scale() -> str:
     """Benchmark scale, overridable with REPRO_SCALE=paper|large|quick."""
@@ -269,16 +274,28 @@ def _workspan_store_key(app_name: str, scale: str, overrides: dict) -> dict:
     }
 
 
-def _classify_error(exc: BaseException) -> str:
-    """Ledger error kind for a simulation failure (mirrors grid labels)."""
+#: Failure kinds that are deterministic functions of the experiment: a
+#: retry would only reproduce them, so neither the grid nor the job
+#: service retries them.
+DETERMINISTIC_ERRORS = ("deadlock", "violation")
+
+
+def classify_failure(exc: BaseException) -> Tuple[str, str, dict]:
+    """(error kind, message, diagnostic) for a failed simulation.
+
+    The one failure-kind table: the ledger, grid workers, the grid's
+    serial path and the job service all label failures with it.  Kinds
+    are ``deadlock`` (the watchdog's per-core dump as diagnostic),
+    ``violation`` (the sanitizer's violation list) and ``error``.
+    """
     from repro.engine.watchdog import DeadlockError
     from repro.sanitize import SanitizerError
 
     if isinstance(exc, DeadlockError):
-        return "deadlock"
+        return "deadlock", str(exc), exc.diagnostic
     if isinstance(exc, SanitizerError):
-        return "violation"
-    return "error"
+        return "violation", str(exc), {"violations": exc.violations}
+    return "error", f"{exc!r}", {}
 
 
 def _ledger_record(
@@ -306,10 +323,7 @@ def _ledger_record(
     if ledger is None:
         return
     ledger.record(
-        # Supervising parents can relabel their workers' lines (the serve
-        # spawn sets "serve" around its fork) so `repro report` can tell
-        # service work from ad-hoc runs.
-        source=os.environ.get("REPRO_LEDGER_SOURCE", "runner"),
+        source=LEDGER_SOURCE,
         outcome=outcome,
         app=app_name,
         kind=kind,
@@ -347,7 +361,6 @@ def run_experiment(
     watchdog: Optional[int] = None,
     checkpoint=None,
     sampling=None,
-    shards: Optional[int] = None,
 ) -> ExperimentResult:
     """Simulate ``app_name`` on configuration ``kind`` at ``scale``.
 
@@ -386,42 +399,10 @@ def run_experiment(
     so they can never satisfy a probe for an exact result.  Sampling is
     incompatible with tracing, the interval sampler, fault injection, the
     sanitizer, and run checkpoints (warm-start ``init_dir`` is fine).
-
-    ``shards`` (``> 1``) runs the experiment as that many validated
-    parallel replicas (:mod:`repro.engine.pdes`): worker processes under
-    diversified engines whose memory digests, statistics, counts, and
-    traces must agree byte-for-byte before the result is returned.
-    Sharding never enters the memo or store keys — a sharded result *is*
-    the serial result (validated, not assumed), so either satisfies
-    probes for the other; provenance lands in ``extras`` (``pdes_*``).
-    Sharding is incompatible with tracing via this function (use
-    ``repro run --shards --trace`` / ``pdes.run_sharded(trace_path=…)``),
-    checkpoints, sampling, fault injection, and the sanitizer — all
-    refused loudly.
     """
     started = time.perf_counter()
     faults = FaultPlan.coerce(faults)
     ckpt = CheckpointConfig.coerce(checkpoint)
-    n_shards = int(shards) if shards is not None else 1
-    if n_shards > 1:
-        from repro.engine.pdes.replicate import (
-            ShardUnsupportedError,
-            _check_supported,
-        )
-
-        if tracer is not None or sample_interval is not None:
-            raise ShardUnsupportedError(
-                "sharded runs cannot take an in-process tracer (replicas "
-                "trace in their own processes); use repro run --shards "
-                "--trace or pdes.run_sharded(trace_path=...)"
-            )
-        # Refuse unsupported combinations before any cache probe: a
-        # contradictory request must fail loudly, never be satisfied
-        # quietly by a memo hit.
-        _check_supported(dict(
-            sampling=sampling, checkpoint=ckpt, faults=faults,
-            sanitize=sanitize,
-        ))
     robustness = _robustness_dict(faults, sanitize, watchdog)
     if sampling is not None:
         from repro.sampling import SamplingError, SamplingSpec
@@ -494,19 +475,12 @@ def run_experiment(
     # line per call (success or failure) and a finalized heartbeat file.
     ctx: dict = {}
     try:
-        if n_shards > 1:
-            result = _run_sharded_experiment(
-                app_name, kind, scale, serial, check, use_cache,
-                app_overrides, runtime_kwargs, config_overrides,
-                watchdog, n_shards, key, store, store_key, ctx,
-            )
-        else:
-            result = _simulate_experiment(
-                app_name, kind, scale, serial, check, use_cache,
-                app_overrides, runtime_kwargs, config_overrides,
-                tracer, sample_interval, faults, sanitize, watchdog,
-                ckpt, sampling, key, store, store_key, ctx,
-            )
+        result = _simulate_experiment(
+            app_name, kind, scale, serial, check, use_cache,
+            app_overrides, runtime_kwargs, config_overrides,
+            tracer, sample_interval, faults, sanitize, watchdog,
+            ckpt, sampling, key, store, store_key, ctx,
+        )
     except ParkedRun as exc:
         # Preemption is not a failure: the run's snapshot is on disk and a
         # later resume finishes it byte-identically.  The ledger records
@@ -530,7 +504,7 @@ def run_experiment(
             "failed",
             app_name=app_name, kind=kind, scale=scale, serial=serial,
             wall_s=time.perf_counter() - started, store_key=store_key,
-            error=_classify_error(exc),
+            error=classify_failure(exc)[0],
             message=(str(exc).splitlines() or [repr(exc)])[0],
             seed=ctx.get("seed"), robustness=robustness,
             lineage=ctx.get("lineage"), sampling=sampling,
@@ -546,60 +520,6 @@ def run_experiment(
         cycles=result.cycles, seed=ctx.get("seed"),
         robustness=robustness, lineage=ctx.get("lineage"), sampling=sampling,
     )
-    return result
-
-
-def _run_sharded_experiment(
-    app_name: str,
-    kind: str,
-    scale: str,
-    serial: bool,
-    check: bool,
-    use_cache: bool,
-    app_overrides: Optional[dict],
-    runtime_kwargs: Optional[dict],
-    config_overrides: Optional[dict],
-    watchdog: Optional[int],
-    n_shards: int,
-    key,
-    store,
-    store_key,
-    ctx: dict,
-) -> ExperimentResult:
-    """The ``shards > 1`` path of :func:`run_experiment`: validated
-    parallel replicas (:mod:`repro.engine.pdes.replicate`).
-
-    Counts as one simulation for this process (the replicas run in
-    children); the returned result is byte-identical to the serial path
-    by checked construction, so it lands in the same memo/store slots.
-    """
-    global _SIM_COUNT
-    from repro.engine.pdes import run_sharded
-
-    _SIM_COUNT += 1
-    ctx["lineage"] = {"pdes_shards": n_shards, "pdes_validated": True}
-    result = run_sharded(
-        dict(
-            app_name=app_name, kind=kind, scale=scale, serial=serial,
-            check=check, app_overrides=app_overrides,
-            runtime_kwargs=runtime_kwargs,
-            config_overrides=config_overrides, watchdog=watchdog,
-        ),
-        n_shards,
-    )
-    if use_cache:
-        _CACHE[key] = result
-    if store is not None:
-        from repro.harness.export import result_to_dict
-
-        store.store(
-            store_key,
-            {
-                "key": store_key,
-                "result": result_to_dict(result),
-                "lineage": ctx["lineage"],
-            },
-        )
     return result
 
 
@@ -829,13 +749,7 @@ def assemble_result(
     runtime,
     cycles: int,
 ) -> ExperimentResult:
-    """Build an :class:`ExperimentResult` from a finished machine/runtime.
-
-    Shared by the serial path (:func:`_simulate_experiment`) and the
-    sharded replicas (:mod:`repro.engine.pdes.replicate`), so every
-    execution mode derives its result fields from the machine state the
-    same way — a precondition for byte-identity validation.
-    """
+    """Build an :class:`ExperimentResult` from a finished machine/runtime."""
     tiny_ids = machine.tiny_core_ids() or list(range(machine.config.n_cores))
     l1_agg = machine.aggregate_l1_stats(tiny_ids)
     uli_stats = machine.stats.child("uli_network")

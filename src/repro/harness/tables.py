@@ -122,9 +122,14 @@ def format_table3(rows: List[dict]) -> str:
         "-" * len(header),
     ]
     for r in rows:
+        if r["app"] == "geomean":
+            # Instruction counts, work and span have no cross-app mean.
+            counts = f"{'':>9s} {'':>9s} {'':>7s}"
+        else:
+            counts = f"{r['dinst']:>9d} {r['work']:>9d} {r['span']:>7d}"
         lines.append(
-            f"{r['app']:12s} {r['pm']:3s} {r['dinst']:>9d} {r['work']:>9d} "
-            f"{r['span']:>7d} {r['para']:>7.2f} {r['ipt']:>8.1f} | "
+            f"{r['app']:12s} {r['pm']:3s} {counts} "
+            f"{r['para']:>7.2f} {r['ipt']:>8.1f} | "
             f"{r['speedup_o3x1']:>6.2f} {r['speedup_o3x4']:>6.2f} "
             f"{r['speedup_o3x8']:>6.2f} {r['speedup_bt-mesi']:>8.2f} | "
             f"{r['rel_bt-hcc-dnv']:>5.2f} {r['rel_bt-hcc-gwt']:>5.2f} "

@@ -12,11 +12,12 @@ line describing its outcome:
 * ``failed``     — the run raised (``error`` holds deadlock / violation /
   timeout / error, matching ``FailedResult.error``).
 
-Timed-out or killed grid workers can't write their own line, so the grid
-parent appends one on their behalf (``source: "grid"``).  Workers forked
-by the job service inherit ``REPRO_LEDGER_SOURCE=serve`` and label their
-lines ``source: "serve"``, so a report over a shared ledger can tell
-service work from ad-hoc runs.
+In-process calls label their lines ``source: "runner"``; grid workers
+label theirs ``"grid"`` and job-service workers ``"serve"``, so a report
+over a shared ledger can tell sweep and service work from ad-hoc runs.
+A worker that was killed (timeout, wedged, park grace) or died can't
+write its own line, so its supervisor appends one on its behalf under
+the same source.
 
 Each line carries the store-key digest (the same SHA-256 the result store
 shards by), the config seed, the robustness block, checkpoint lineage,

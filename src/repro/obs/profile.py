@@ -20,8 +20,6 @@ label                  what it covers
 ``noc.uli``            ULI network latency computation
 ``trace.tracer``       tracer emission (only when a real tracer is wired)
 ``sanitize.walk``      coherence-sanitizer walks
-``pdes.lookahead``     sharded-run coordinator time blocked on replica
-                       barriers (``repro.engine.pdes.run_sharded``)
 ``engine.loop``        everything not measured directly: heap push/pop,
                        event dispatch, the fusion test, Python interpreter
                        overhead between probes (computed as residual)

@@ -10,10 +10,12 @@ and heartbeat probe, so every failure path is exercisable in milliseconds
 without real processes.
 
 Workers are the *grid's* workers: each dispatch builds a
-:class:`repro.harness.grid.GridPoint` and forks
-``repro.harness.grid._worker_entry`` — the same entry point, pipe
-protocol, and result serialization as ``run_grid``, so serve inherits the
-grid's determinism and store adoption for free.  Every run gets a
+:class:`repro.harness.grid.GridPoint` and starts it with
+:func:`repro.harness.grid.spawn_worker` — the same entry point, pipe
+protocol, failure kinds, and result serialization as ``run_grid``, so
+serve inherits the grid's determinism and store adoption for free.  A
+worker the supervisor kills or loses gets its ledger line from
+:func:`repro.harness.grid.record_lost_worker`.  Every run gets a
 periodic checkpoint (resume point for kills) and, when preemptible, a
 park file the supervisor can touch to request a cooperative preemption
 (``repro.engine.checkpoint.ParkDaemon``).
@@ -42,77 +44,23 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro.harness.grid import (
+    GridPoint,
+    WorkerHandle,
+    record_lost_worker,
+    spawn_worker,
+)
 from repro.harness.retry import Backoff
+from repro.harness.runner import DETERMINISTIC_ERRORS
 from repro.serve.journal import Journal
 from repro.serve.policy import ServePolicy, admission_reason
 from repro.serve.queue import Job, JobQueue, JobRecord
 
-#: Errors that are deterministic functions of the job — retrying would
-#: only reproduce them (mirrors the grid's retryable=False set).
-DETERMINISTIC_ERRORS = ("deadlock", "violation")
-
-
-class WorkerHandle:
-    """A live grid worker process plus its result pipe."""
-
-    def __init__(self, proc, conn):
-        self.proc = proc
-        self.conn = conn
-
-    @property
-    def pid(self) -> int:
-        return self.proc.pid
-
-    def alive(self) -> bool:
-        return self.proc.is_alive()
-
-    def poll_message(self):
-        """The worker's (status, payload) message, or None; "gone" when
-        the pipe broke before any message arrived."""
-        try:
-            if not self.conn.poll(0):
-                return None
-            return self.conn.recv()
-        except (EOFError, OSError):
-            return ("gone", None)
-
-    def kill(self) -> None:
-        if self.proc.is_alive():
-            self.proc.kill()
-
-    def close(self) -> None:
-        try:
-            self.conn.close()
-        except Exception:
-            pass
-        if self.proc.is_alive():
-            self.proc.terminate()
-        self.proc.join()
-
 
 def spawn_grid_worker(record: JobRecord, checkpoint: dict) -> WorkerHandle:
     """Fork one grid worker for ``record`` (the default spawn function)."""
-    from repro.harness import grid, runner
-
-    store = runner.get_result_store()
-    results_dir = str(store.root) if store is not None else None
-    ctx = grid._mp_context()
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    point = grid.GridPoint(**record.job.grid_fields(), checkpoint=checkpoint)
-    proc = ctx.Process(
-        target=grid._worker_entry,
-        args=(child_conn, point.as_fields(), results_dir),
-        daemon=True,
-    )
-    # The fork inherits the environment: ledger lines written by this
-    # worker carry source "serve" instead of "runner".
-    os.environ["REPRO_LEDGER_SOURCE"] = "serve"
-    try:
-        proc.start()
-    finally:
-        os.environ.pop("REPRO_LEDGER_SOURCE", None)
-    child_conn.close()
-    return WorkerHandle(proc, parent_conn)
+    point = GridPoint(**record.job.grid_fields(), checkpoint=checkpoint)
+    return spawn_worker(point, "serve")
 
 
 class HeartbeatAgeTracker:
@@ -232,6 +180,9 @@ class Supervisor:
         self._backoffs: Dict[str, Backoff] = {}
         #: leader job id -> follower records coalesced behind it.
         self.followers: Dict[str, List[JobRecord]] = {}
+        #: Jobs whose next start resumes a preempted run (parked, or
+        #: killed at park grace expiry); such starts are not attempts.
+        self._park_resumes: set = set()
 
     # ------------------------------------------------------------------
     # Intake
@@ -291,12 +242,14 @@ class Supervisor:
                 status, payload = message
                 self._on_message(jid, active, status, payload)
             elif not active.handle.alive():
-                self._close(jid)
-                self._retry(active.record, "worker-died",
-                            "worker exited without reporting a result")
+                self._lose(jid, "worker-died",
+                           "worker exited without reporting a result")
 
     def _on_message(self, jid: str, active: _Active, status, payload) -> None:
         record = active.record
+        if status == "gone":
+            self._lose(jid, "worker-died", "result pipe broke")
+            return
         self._close(jid)
         if status == "ok":
             self._complete(record, payload["result"])
@@ -305,10 +258,22 @@ class Supervisor:
         elif status in DETERMINISTIC_ERRORS:
             message = (payload or {}).get("message", status)
             self._quarantine(record, status, message)
-        elif status == "gone":
-            self._retry(record, "worker-died", "result pipe broke")
         else:  # "err" payload is the worker's traceback string
             self._retry(record, "error", str(payload))
+
+    def _lose(self, jid: str, error: str, message: str) -> None:
+        """Reap a worker that cannot report for itself (killed by a
+        watchdog, or dead), record its attempt in the ledger, and retry
+        the job."""
+        active = self.active[jid]
+        active.handle.kill()
+        self._close(jid)
+        record_lost_worker(
+            GridPoint(**active.record.job.grid_fields()), "serve",
+            error, message, active.record.attempts,
+            wall_s=self.clock() - active.started_at,
+        )
+        self._retry(active.record, error, message)
 
     def _close(self, jid: str) -> None:
         active = self.active.pop(jid)
@@ -351,6 +316,7 @@ class Supervisor:
         )
         record.snapshot = snapshot
         record.parks += 1
+        self._park_resumes.add(record.id)
         self.queue.repark(record)
         self.log(f"{record.id} parked at cycle {(payload or {}).get('cycle')}")
 
@@ -381,6 +347,7 @@ class Supervisor:
         if error == "park-timeout":
             # Not the job's fault: no backoff, no attempt burned — it
             # restarts from its last periodic snapshot right away.
+            self._park_resumes.add(record.id)
             self.queue.requeue(record)
             self.log(f"{record.id} park grace expired; requeued")
             return
@@ -402,26 +369,17 @@ class Supervisor:
         for jid in list(self.active):
             active = self.active[jid]
             if active.park_deadline is not None and now > active.park_deadline:
-                active.handle.kill()
-                self._close(jid)
-                self._retry(active.record, "park-timeout",
-                            "worker missed the park grace window")
+                self._lose(jid, "park-timeout",
+                           "worker missed the park grace window")
             elif active.deadline is not None and now > active.deadline:
-                active.handle.kill()
-                self._close(jid)
-                self._retry(
-                    active.record, "timeout",
+                self._lose(
+                    jid, "timeout",
                     f"exceeded {self.policy.timeout_s}s wall budget",
                 )
             elif self.policy.wedged_after_s is not None:
                 age = self.heartbeat_age(active.handle.pid)
                 if age is not None and age > self.policy.wedged_after_s:
-                    active.handle.kill()
-                    self._close(jid)
-                    self._retry(
-                        active.record, "wedged",
-                        f"no heartbeat for {age:.1f}s",
-                    )
+                    self._lose(jid, "wedged", f"no heartbeat for {age:.1f}s")
 
     # ------------------------------------------------------------------
     # Backoff admission
@@ -524,7 +482,10 @@ class Supervisor:
                 pass
         handle = self.spawn(record, checkpoint)
         record.state = "running"
-        record.attempts += 1
+        if record.id in self._park_resumes:
+            self._park_resumes.discard(record.id)
+        else:
+            record.attempts += 1
         resuming = bool(record.snapshot) or os.path.exists(snapshot_path)
         self.journal.append(
             "start", id=record.id, pid=handle.pid,

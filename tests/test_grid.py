@@ -170,45 +170,6 @@ class TestMpContext:
                 assert getattr(a, field.name) == getattr(b, field.name), field.name
 
 
-class TestShardedPoints:
-    def test_sharded_point_matches_plain_point_under_parallel_grid(self):
-        """A shards=2 point spawns its own replica workers inside a grid
-        worker (which therefore must not be daemonic) and still lands the
-        same result as the plain point in the same slot."""
-        plain = [
-            GridPoint("cilk5-mt", "bt-mesi", "tiny"),
-            GridPoint("cilk5-mt", "bt-hcc-dnv", "tiny"),
-        ]
-        sharded = [dataclasses.replace(p, shards=2) for p in plain]
-        assert sharded[0].label().endswith("shards=2")
-        reference = _run_fresh(plain, jobs=1)
-        got = _run_fresh(sharded, jobs=4)
-        for a, b in zip(reference, got):
-            for field in dataclasses.fields(a):
-                if field.name == "extras":
-                    continue  # pdes_* provenance lands here by design
-                assert getattr(a, field.name) == getattr(b, field.name), field.name
-        assert got[0].extras["pdes_shards"] == 2.0
-
-    def test_worker_budget_is_divided_by_widest_point(self, monkeypatch):
-        from repro.harness import grid as grid_mod
-
-        seen = {}
-        real = grid_mod._run_parallel
-
-        def spy(points, jobs, *args, **kwargs):
-            seen["jobs"] = jobs
-            return real(points, jobs, *args, **kwargs)
-
-        monkeypatch.setattr(grid_mod, "_run_parallel", spy)
-        points = [
-            GridPoint("cilk5-mt", "bt-mesi", "tiny", shards=2),
-            GridPoint("cilk5-mt", "bt-hcc-dnv", "tiny", shards=2),
-        ]
-        _run_fresh(points, jobs=4)
-        assert seen["jobs"] == 2  # 4 jobs / 2-shard points
-
-
 class TestFailureHandling:
     def test_bad_point_raises_grid_error(self):
         bad = GridPoint(

@@ -90,6 +90,26 @@ class TestTables:
         text = format_table3(rows)
         assert "cilk5-mt" in text and "geomean" in text
 
+    def test_table3_geomean_row_leaves_count_cells_blank(self):
+        """The summary row's DInst/Work/Span are placeholders (0), not
+        means: the formatter prints blank cells, never a column of 0s."""
+        cells = {"pm": "", "para": 2.0, "ipt": 10.0}
+        cells.update({f"speedup_{k}": 1.5 for k in ("o3x1", "o3x4", "o3x8", "bt-mesi")})
+        cells.update({
+            f"rel_bt-hcc-{p}": 1.1
+            for p in ("dnv", "gwt", "gwb", "dts-dnv", "dts-gwt", "dts-gwb")
+        })
+        app_row = dict(cells, app="cilk5-mt", dinst=123456, work=7890, span=321)
+        mean_row = dict(cells, app="geomean", dinst=0, work=0, span=0)
+        lines = format_table3([app_row, mean_row]).splitlines()
+        header, app_line, mean_line = lines[1], lines[3], lines[4]
+        assert "123456" in app_line and "7890" in app_line and "321" in app_line
+        # Everything between the name/PM columns and Para is blank.
+        blank = mean_line[header.index("DInst") - 5:header.index("Para") - 1]
+        assert blank.strip() == ""
+        assert " 0 " not in mean_line
+        assert len(mean_line) == len(app_line)
+
     def test_table4_percentages(self):
         rows = table4("tiny", apps=("cilk5-mt",))
         row = rows[0]

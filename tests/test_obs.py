@@ -349,46 +349,6 @@ class TestTop:
         # Core bar: core0 >=75% busy (#), core1 idle with queued work (!).
         assert "#!" in frame
 
-    def test_shard_group_heartbeats_merge_into_one_row(self, tmp_path):
-        from repro.obs.top import merge_shard_groups, read_snapshots, render
-
-        meta = {"app": "cilk5-cs", "kind": "bt-hcc-dnv", "scale": "tiny",
-                "pdes_group": "77-1"}
-        self._write_snap(
-            tmp_path, "s0.json", cycle=4000, events_per_sec=1e6,
-            updated_at=100.0, meta={**meta, "shard": 0},
-        )
-        self._write_snap(
-            tmp_path, "s1.json", cycle=5000, events_per_sec=2e6,
-            updated_at=120.0, meta={**meta, "shard": 1},
-        )
-        self._write_snap(tmp_path, "solo.json")  # no group: passes through
-        snaps, _ = read_snapshots(str(tmp_path))
-        merged = merge_shard_groups(snaps)
-        assert len(merged) == 2
-        group_row = next(
-            s for s in merged if "pdes_group" in (s.get("meta") or {})
-        )
-        assert group_row["meta"]["app"] == "cilk5-cs x2"
-        assert group_row["cycle"] == 4000  # min: slowest replica's progress
-        assert group_row["events_per_sec"] == 3e6  # summed host throughput
-        assert group_row["updated_at"] == 120.0
-        frame = render(snaps, now=130.0)
-        assert "2 run(s)" in frame and "cilk5-cs x2" in frame
-
-    def test_shard_group_status_prefers_running_then_failed(self, tmp_path):
-        from repro.obs.top import merge_shard_groups, read_snapshots
-
-        meta = {"app": "cilk5-cs", "kind": "bt-mesi", "scale": "tiny",
-                "pdes_group": "77-2"}
-        self._write_snap(tmp_path, "s0.json", status="done",
-                         meta={**meta, "shard": 0})
-        self._write_snap(tmp_path, "s1.json", status="failed",
-                         meta={**meta, "shard": 1})
-        snaps, _ = read_snapshots(str(tmp_path))
-        (row,) = merge_shard_groups(snaps)
-        assert row["status"] == "failed"
-
     def test_stale_threshold_configurable(self, tmp_path):
         from repro.obs.top import read_snapshots, render
 

@@ -419,6 +419,25 @@ class TestPerfBaseline:
         report = compare_baseline(fresh, base, tolerance=0.0)
         assert report["ok"]
 
+    def test_old_baseline_with_parallel_block_still_compares(self):
+        """Older BENCH_wallclock.json files carry a ``parallel`` section;
+        --baseline ignores it instead of failing on it."""
+        from repro.harness.perf import compare_baseline
+
+        base = _perf_payload(1000.0, 2000.0, 2.0)
+        base["parallel"] = {
+            "entries": [{"app": "cilk5-cs", "kind": "bt-hcc-dts-dnv",
+                         "scale": "quick", "speedup": 0.91}],
+            "aggregate": {"speedup": 0.91},
+        }
+        report = compare_baseline(_perf_payload(1000.0, 2000.0, 2.0), base)
+        assert report["ok"]
+        assert {row["label"] for row in report["comparisons"]} == {
+            "kernel-spin/serial-io/tiny events/s",
+            "mix events/s",
+            "mix fusion speedup",
+        }
+
     def test_bad_tolerance_rejected(self):
         from repro.harness.perf import compare_baseline
 

@@ -529,6 +529,61 @@ class TestSupervisor:
         records, _, _ = replay(supervisor.journal.path)
         assert records[batch.id].state in ("pending", "running")
 
+    def test_park_resume_does_not_burn_an_attempt(self, tmp_path):
+        """Regression: every dispatch used to count as an attempt, so with
+        max_attempts=2 one park plus one worker death quarantined the job
+        although "parks do not count as attempts"."""
+        supervisor, spawner, _ = make_supervisor(
+            tmp_path, slots=1, max_attempts=2
+        )
+        batch = supervisor.submit(job())
+        supervisor.poll()
+        deadline = supervisor.submit(
+            job(app_overrides={"n": 2}, deadline_s=30.0)
+        )
+        supervisor.poll()  # park requested
+        snapshot = supervisor.active[batch.id].snapshot_path
+        spawner.handle_for(batch.id).messages.append(
+            ("parked", {"cycle": 4000, "snapshot": snapshot})
+        )
+        supervisor.poll()  # batch parks; the deadline job takes the slot
+        spawner.handle_for(deadline.id).finish_ok()
+        supervisor.poll()  # batch resumes from its snapshot
+        assert batch.id in supervisor.active
+        assert batch.attempts == 1
+        spawner.handle_for(batch.id).die_silently()
+        supervisor.poll()  # the first real failure is retried
+        assert batch.state != "failed"
+        assert batch.id in supervisor.active
+        assert batch.attempts == 2
+
+    def test_killed_and_lost_workers_get_a_serve_ledger_line(self, tmp_path):
+        """Regression: a worker the supervisor killed or lost wrote no
+        ledger line, so `repro report` undercounted service wall time."""
+        from repro.obs.ledger import read_ledger, set_ledger
+
+        set_ledger(tmp_path / "ledger.jsonl")
+        try:
+            supervisor, spawner, clock = make_supervisor(
+                tmp_path, slots=1, timeout_s=30.0
+            )
+            record = supervisor.submit(job())
+            supervisor.poll()
+            clock.advance(31.0)
+            supervisor.poll()  # timeout kill + immediate redispatch
+            spawner.handle_for(record.id).die_silently()
+            supervisor.poll()
+        finally:
+            set_ledger(None)
+        lines = read_ledger(tmp_path / "ledger.jsonl")
+        assert [
+            (e["source"], e["outcome"], e["error"], e["attempt"]) for e in lines
+        ] == [("serve", "failed", "timeout", 1), ("serve", "failed", "worker-died", 2)]
+        assert lines[0]["wall_s"] == 31.0
+        assert (lines[0]["app"], lines[0]["kind"], lines[0]["scale"]) == (
+            "cilk5-mt", "bt-mesi", "tiny"
+        )
+
     def test_non_preemptible_job_is_never_parked(self, tmp_path):
         supervisor, spawner, _ = make_supervisor(tmp_path, slots=1)
         pinned = supervisor.submit(job(preemptible=False))
