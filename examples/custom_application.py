@@ -39,13 +39,13 @@ class DotProduct(Task):
         def body(rt, ctx, lo, hi):
             partial = 0
             for i in range(lo, hi):
-                a = yield from ctx.load(self.a_base + i * WORD_BYTES)
-                b = yield from ctx.load(self.b_base + i * WORD_BYTES)
-                yield from ctx.work(2)  # multiply-accumulate
+                a = yield ctx.load(self.a_base + i * WORD_BYTES)
+                b = yield ctx.load(self.b_base + i * WORD_BYTES)
+                yield ctx.work(2)  # multiply-accumulate
                 partial += a * b
             # One atomic per leaf: correct on every protocol, including the
             # GPU ones where AMOs execute at the shared L2.
-            yield from ctx.amo_add(self.out_addr, partial)
+            yield ctx.amo_add(self.out_addr, partial)
 
         yield from parallel_for(rt, ctx, 0, self.n, body, self.grain)
 

@@ -32,8 +32,8 @@ class FibTask(Task):
     def execute(self, rt, ctx):
         if self.n < self.CUTOFF:
             result, cost = self._serial_fib(self.n)
-            yield from ctx.work(cost)
-            yield from ctx.store(self.out_addr, result)
+            yield ctx.work(cost)
+            yield ctx.store(self.out_addr, result)
             return
         scratch = rt.machine.address_space.alloc_words(2, "fib_scratch")
         children = [
@@ -41,9 +41,9 @@ class FibTask(Task):
             FibTask(self.n - 2, scratch + WORD_BYTES),
         ]
         yield from rt.fork_join(ctx, self, children)  # spawn both, wait
-        x = yield from ctx.load(scratch)
-        y = yield from ctx.load(scratch + WORD_BYTES)
-        yield from ctx.store(self.out_addr, x + y)
+        x = yield ctx.load(scratch)
+        y = yield ctx.load(scratch + WORD_BYTES)
+        yield ctx.store(self.out_addr, x + y)
 
     @staticmethod
     def _serial_fib(n: int):

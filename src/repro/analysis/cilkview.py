@@ -11,8 +11,10 @@ fork-join structure:
 * **IPT**   — average instructions per task (the granularity metric the
   paper tunes in Figure 4).
 
-The analyzer duck-types the Machine/Runtime/ThreadContext interfaces, so
-the exact same application code runs under it unchanged.
+The analyzer duck-types the Machine/Runtime interfaces and hands task code
+a real :class:`~repro.cores.context.ThreadContext`, so the exact same
+application code runs under it unchanged; the ops it yields are applied to
+a flat functional memory.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.task import Task
+from repro.cores.context import ThreadContext
 from repro.mem.address import WORD_BYTES, AddressSpace
 from repro.mem.amo import apply_amo
 
@@ -61,80 +64,6 @@ class _FunctionalMemory:
         return [self.host_read_word(base + i * WORD_BYTES) for i in range(n_words)]
 
 
-class _AnalysisContext:
-    """ThreadContext duck-type that counts instructions instead of cycles."""
-
-    def __init__(self, analyzer: "CilkviewAnalyzer"):
-        self._an = analyzer
-        self.tid = 0
-        self.n_threads = 1
-
-    # Memory ops: one instruction each, values from functional memory.
-    def load(self, addr):
-        self._an._count(1)
-        return self._an.machine.host_read_word(addr)
-        yield  # pragma: no cover
-
-    def bypass_load(self, addr):
-        return (yield from self.load(addr))
-
-    def store(self, addr, value):
-        self._an._count(1)
-        self._an.machine.host_write_word(addr, value)
-        return None
-        yield  # pragma: no cover
-
-    def amo(self, op, addr, operand):
-        self._an._count(1)
-        old = self._an.machine.host_read_word(addr)
-        new, returned = apply_amo(op, old, operand)
-        self._an.machine.host_write_word(addr, new)
-        return returned
-        yield  # pragma: no cover
-
-    def cas(self, addr, expected, desired):
-        return (yield from self.amo("cas", addr, (expected, desired)))
-
-    def amo_add(self, addr, delta):
-        return (yield from self.amo("add", addr, delta))
-
-    def amo_sub(self, addr, delta):
-        return (yield from self.amo("sub", addr, delta))
-
-    def amo_or(self, addr, bits):
-        return (yield from self.amo("or", addr, bits))
-
-    def amo_min(self, addr, value):
-        return (yield from self.amo("min", addr, value))
-
-    def work(self, n):
-        if n > 0:
-            self._an._count(n)
-        return None
-        yield  # pragma: no cover
-
-    def idle(self, n):
-        return None
-        yield  # pragma: no cover
-
-    # Coherence/ULI ops are runtime artifacts: free under analysis.
-    def cache_invalidate(self):
-        return None
-        yield  # pragma: no cover
-
-    def cache_flush(self):
-        return None
-        yield  # pragma: no cover
-
-    def uli_enable(self):
-        return None
-        yield  # pragma: no cover
-
-    def uli_disable(self):
-        return None
-        yield  # pragma: no cover
-
-
 class CilkviewAnalyzer:
     """Functional executor computing work/span over the fork-join DAG.
 
@@ -151,7 +80,7 @@ class CilkviewAnalyzer:
 
     # ------------------------------------------------------------------
     def analyze(self, root: Task) -> WorkSpanReport:
-        ctx = _AnalysisContext(self)
+        ctx = ThreadContext(None, 0, 1, None)
         self._run_generator(self.run_inline(ctx, root))
         return WorkSpanReport(work=self._work, span=self._span, n_tasks=self.n_tasks)
 
@@ -201,13 +130,7 @@ class CilkviewAnalyzer:
         self._span += n
 
     def _run_generator(self, gen) -> None:
-        """Drive a task generator functionally.
-
-        Context methods (``ctx.load`` etc.) resolve without yielding, but
-        hot-path app code (``SimArray`` accessors, the throughput kernels)
-        yields ``repro.cores.ops`` objects directly; those are applied to
-        the functional memory here.
-        """
+        """Drive a task generator functionally, applying each yielded op."""
         try:
             op = next(gen)
             while True:
@@ -216,7 +139,14 @@ class CilkviewAnalyzer:
             return
 
     def _apply_op(self, op):
-        """Execute one raw architectural op against functional memory."""
+        """Execute one architectural op against functional memory.
+
+        Loads, stores and AMOs count one instruction each and ``work(n)``
+        counts n; idle, coherence and ULI ops are runtime artifacts and
+        free here, as is the None that ``work``/``idle`` yield for n <= 0.
+        """
+        if op is None:
+            return None
         kind = op.KIND
         mem = self.machine
         if kind == "load":
@@ -235,5 +165,4 @@ class CilkviewAnalyzer:
         if kind == "work":
             self._count(op.n)
             return None
-        # idle / coherence / ULI ops are runtime artifacts: free here.
         return None

@@ -101,11 +101,11 @@ class _MergeTask(Task):
         # Split the larger run at its midpoint; binary-search the other.
         if n1 >= n2:
             mid1 = (self.lo1 + self.hi1) // 2
-            pivot = yield from self.src.load(ctx, mid1)
+            pivot = yield self.src.load(ctx, mid1)
             mid2 = yield from app.lower_bound(ctx, self.src, self.lo2, self.hi2, pivot)
         else:
             mid2 = (self.lo2 + self.hi2) // 2
-            pivot = yield from self.src.load(ctx, mid2)
+            pivot = yield self.src.load(ctx, mid2)
             mid1 = yield from app.lower_bound(ctx, self.src, self.lo1, self.hi1, pivot)
         d_split = self.dlo + (mid1 - self.lo1) + (mid2 - self.lo2)
         children = [
@@ -156,16 +156,16 @@ class CilkSort(AppInstance):
     def serial_sort(self, ctx, arr: SimArray, lo: int, hi: int):
         """In-place insertion sort on the simulated array."""
         for i in range(lo + 1, hi):
-            key = yield from arr.load(ctx, i)
+            key = yield arr.load(ctx, i)
             j = i - 1
             while j >= lo:
-                current = yield from arr.load(ctx, j)
-                yield from ctx.work(1)
+                current = yield arr.load(ctx, j)
+                yield ctx.work(1)
                 if current <= key:
                     break
-                yield from arr.store(ctx, j + 1, current)
+                yield arr.store(ctx, j + 1, current)
                 j -= 1
-            yield from arr.store(ctx, j + 1, key)
+            yield arr.store(ctx, j + 1, key)
 
     def serial_merge(self, ctx, src, dst, lo1, hi1, lo2, hi2, dlo):
         """Two-pointer merge of two sorted runs."""
@@ -173,27 +173,27 @@ class CilkSort(AppInstance):
         a = b = None
         while i < hi1 and j < hi2:
             if a is None:
-                a = yield from src.load(ctx, i)
+                a = yield src.load(ctx, i)
             if b is None:
-                b = yield from src.load(ctx, j)
-            yield from ctx.work(1)
+                b = yield src.load(ctx, j)
+            yield ctx.work(1)
             if a <= b:
-                yield from dst.store(ctx, k, a)
+                yield dst.store(ctx, k, a)
                 i += 1
                 a = None
             else:
-                yield from dst.store(ctx, k, b)
+                yield dst.store(ctx, k, b)
                 j += 1
                 b = None
             k += 1
         while i < hi1:
-            value = yield from src.load(ctx, i)
-            yield from dst.store(ctx, k, value)
+            value = yield src.load(ctx, i)
+            yield dst.store(ctx, k, value)
             i += 1
             k += 1
         while j < hi2:
-            value = yield from src.load(ctx, j)
-            yield from dst.store(ctx, k, value)
+            value = yield src.load(ctx, j)
+            yield dst.store(ctx, k, value)
             j += 1
             k += 1
 
@@ -201,8 +201,8 @@ class CilkSort(AppInstance):
         """First index in sorted arr[lo:hi) whose value is >= key."""
         while lo < hi:
             mid = (lo + hi) // 2
-            value = yield from arr.load(ctx, mid)
-            yield from ctx.work(2)
+            value = yield arr.load(ctx, mid)
+            yield ctx.work(2)
             if value < key:
                 lo = mid + 1
             else:

@@ -141,54 +141,54 @@ class CilkLU(AppInstance):
         end = min(base + b, self.n)
         a = self.a
         for k in range(base, end):
-            akk = yield from a.load(ctx, self._idx(k, k))
+            akk = yield a.load(ctx, self._idx(k, k))
             for i in range(k + 1, end):
-                aik = yield from a.load(ctx, self._idx(i, k))
+                aik = yield a.load(ctx, self._idx(i, k))
                 lik = aik / akk
-                yield from ctx.work(2)
-                yield from a.store(ctx, self._idx(i, k), lik)
+                yield ctx.work(2)
+                yield a.store(ctx, self._idx(i, k), lik)
                 for j in range(k + 1, end):
-                    akj = yield from a.load(ctx, self._idx(k, j))
-                    aij = yield from a.load(ctx, self._idx(i, j))
-                    yield from ctx.work(2)
-                    yield from a.store(ctx, self._idx(i, j), aij - lik * akj)
+                    akj = yield a.load(ctx, self._idx(k, j))
+                    aij = yield a.load(ctx, self._idx(i, j))
+                    yield ctx.work(2)
+                    yield a.store(ctx, self._idx(i, j), aij - lik * akj)
 
     def solve_row_panel(self, ctx, base: int, col: int, b: int):
         """U panel: apply L(base block) to columns [col, col+b)."""
         a = self.a
         for k in range(base, base + b):
             for i in range(k + 1, base + b):
-                lik = yield from a.load(ctx, self._idx(i, k))
+                lik = yield a.load(ctx, self._idx(i, k))
                 for j in range(col, col + b):
-                    akj = yield from a.load(ctx, self._idx(k, j))
-                    aij = yield from a.load(ctx, self._idx(i, j))
-                    yield from ctx.work(2)
-                    yield from a.store(ctx, self._idx(i, j), aij - lik * akj)
+                    akj = yield a.load(ctx, self._idx(k, j))
+                    aij = yield a.load(ctx, self._idx(i, j))
+                    yield ctx.work(2)
+                    yield a.store(ctx, self._idx(i, j), aij - lik * akj)
 
     def solve_col_panel(self, ctx, row: int, base: int, b: int):
         """L panel: apply U(base block) to rows [row, row+b)."""
         a = self.a
         for k in range(base, base + b):
-            akk = yield from a.load(ctx, self._idx(k, k))
+            akk = yield a.load(ctx, self._idx(k, k))
             for i in range(row, row + b):
-                aik = yield from a.load(ctx, self._idx(i, k))
+                aik = yield a.load(ctx, self._idx(i, k))
                 lik = aik / akk
-                yield from ctx.work(2)
-                yield from a.store(ctx, self._idx(i, k), lik)
+                yield ctx.work(2)
+                yield a.store(ctx, self._idx(i, k), lik)
                 for j in range(k + 1, base + b):
-                    akj = yield from a.load(ctx, self._idx(k, j))
-                    aij = yield from a.load(ctx, self._idx(i, j))
-                    yield from ctx.work(2)
-                    yield from a.store(ctx, self._idx(i, j), aij - lik * akj)
+                    akj = yield a.load(ctx, self._idx(k, j))
+                    aij = yield a.load(ctx, self._idx(i, j))
+                    yield ctx.work(2)
+                    yield a.store(ctx, self._idx(i, j), aij - lik * akj)
 
     def schur_update(self, ctx, bi: int, bj: int, bk: int, b: int):
         """Trailing update: A[bi][bj] -= A[bi][bk] * A[bk][bj]."""
         a = self.a
         for i in range(bi, bi + b):
             for k in range(bk, bk + b):
-                lik = yield from a.load(ctx, self._idx(i, k))
+                lik = yield a.load(ctx, self._idx(i, k))
                 for j in range(bj, bj + b):
-                    akj = yield from a.load(ctx, self._idx(k, j))
-                    aij = yield from a.load(ctx, self._idx(i, j))
-                    yield from ctx.work(2)
-                    yield from a.store(ctx, self._idx(i, j), aij - lik * akj)
+                    akj = yield a.load(ctx, self._idx(k, j))
+                    aij = yield a.load(ctx, self._idx(i, j))
+                    yield ctx.work(2)
+                    yield a.store(ctx, self._idx(i, j), aij - lik * akj)

@@ -103,10 +103,10 @@ class CilkMatmul(AppInstance):
         n, a, b, c = self.n, self.a, self.b, self.c
         for i in range(s):
             for j in range(s):
-                acc = yield from c.load(ctx, (cr + i) * n + (cc + j))
+                acc = yield c.load(ctx, (cr + i) * n + (cc + j))
                 for k in range(s):
-                    av = yield from a.load(ctx, (ar + i) * n + (ak + k))
-                    bv = yield from b.load(ctx, (ak + k) * n + (cc + j))
-                    yield from ctx.work(2)
+                    av = yield a.load(ctx, (ar + i) * n + (ak + k))
+                    bv = yield b.load(ctx, (ak + k) * n + (cc + j))
+                    yield ctx.work(2)
                     acc += av * bv
-                yield from c.store(ctx, (cr + i) * n + (cc + j), acc)
+                yield c.store(ctx, (cr + i) * n + (cc + j), acc)

@@ -32,24 +32,24 @@ class _NqTask(Task):
         # Read this task's own board prefix (written by the parent).
         placed = []
         for r in range(row):
-            value = yield from self.board.load(ctx, r)
+            value = yield self.board.load(ctx, r)
             placed.append(value)
         if row >= app.cutoff or row == app.n:
             count = yield from app.serial_count(ctx, placed)
             if count:
-                yield from ctx.amo_add(app.counter_addr, count)
+                yield ctx.amo_add(app.counter_addr, count)
             return
         children = []
         for col in range(app.n):
-            yield from ctx.work(2)
+            yield ctx.work(2)
             if not app.legal(placed, row, col):
                 continue
             child_board = SimArray(
                 rt.machine, app.n, f"nq_board_{self.task_id}_{col}"
             )
             for r in range(row):
-                yield from child_board.store(ctx, r, placed[r])
-            yield from child_board.store(ctx, row, col)
+                yield child_board.store(ctx, r, placed[r])
+            yield child_board.store(ctx, row, col)
             children.append(_NqTask(app, child_board, row + 1))
         if children:
             yield from rt.fork_join(ctx, self, children)
@@ -113,10 +113,10 @@ class CilkNQueens(AppInstance):
             row = len(board)
             if row == n:
                 count += 1
-                yield from ctx.work(2)
+                yield ctx.work(2)
                 continue
             for col in range(n):
-                yield from ctx.work(2 + row)
+                yield ctx.work(2 + row)
                 if self.legal(board, row, col):
                     stack.append(board + [col])
         return count

@@ -86,5 +86,5 @@ class CilkTranspose(AppInstance):
         n, a, b = self.n, self.a, self.b
         for i in range(row, row + s):
             for j in range(col, col + s):
-                value = yield from a.load(ctx, i * n + j)
-                yield from b.store(ctx, j * n + i, value)
+                value = yield a.load(ctx, i * n + j)
+                yield b.store(ctx, j * n + i, value)

@@ -54,7 +54,7 @@ class _SpinLeaf(Task):
         unit = ops.Work(1)
         for _ in range(self.count):
             yield unit
-        yield from self.app.done.amo(ctx, "add", 0, self.count)
+        yield self.app.done.amo(ctx, "add", 0, self.count)
 
 
 @register_app("kernel-spin")
@@ -133,7 +133,7 @@ class _DeadlockRoot(Task):
 
     def execute(self, rt, ctx):
         while True:
-            value = yield from self.app.flag.amo(ctx, "add", 0, 0)
+            value = yield self.app.flag.amo(ctx, "add", 0, 0)
             if value:  # never: nothing writes the flag
                 return
 

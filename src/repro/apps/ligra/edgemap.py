@@ -25,6 +25,7 @@ from __future__ import annotations
 from repro.apps.common import SimArray
 from repro.apps.ligra.graph import SimGraph
 from repro.core.patterns import parallel_for
+from repro.cores import ops
 
 
 class DenseFrontier:
@@ -43,27 +44,27 @@ class DenseFrontier:
         self.size_addr = machine.address_space.alloc_words(1, f"{name}_size")
         machine.host_write_word(self.size_addr, 0)
 
-    # Generator helpers -------------------------------------------------
-    def add(self, ctx, v: int):
+    # Helpers: the single-op ones (add, reset_size, read_size) return
+    # their op to ``yield``; the others are generators to ``yield from``.
+    def add(self, ctx, v: int) -> ops.Store:
         """Insert v (idempotent store; caller counts separately)."""
-        yield from self.flags.store(ctx, v, 1)
+        return self.flags.store(ctx, v, 1)
 
     def test_and_clear(self, ctx, v: int):
-        active = yield from self.flags.load(ctx, v)
+        active = yield self.flags.load(ctx, v)
         if active:
-            yield from self.flags.store(ctx, v, 0)
+            yield self.flags.store(ctx, v, 0)
         return bool(active)
 
-    def reset_size(self, ctx):
-        yield from ctx.amo("xchg", self.size_addr, 0)
+    def reset_size(self, ctx) -> ops.Amo:
+        return ctx.amo("xchg", self.size_addr, 0)
 
     def add_size(self, ctx, count: int):
         if count:
-            yield from ctx.amo_add(self.size_addr, count)
+            yield ctx.amo_add(self.size_addr, count)
 
-    def read_size(self, ctx):
-        size = yield from ctx.load(self.size_addr)
-        return size
+    def read_size(self, ctx) -> ops.Load:
+        return ctx.load(self.size_addr)
 
 
 class EdgeMapF:
@@ -92,25 +93,25 @@ def edge_map(rt, ctx, graph: SimGraph, frontier_cur: DenseFrontier,
     Returns nothing; the output frontier's size counter holds the number
     of newly added vertices (read it with ``frontier_next.read_size``).
     """
-    yield from frontier_next.reset_size(ctx)
+    yield frontier_next.reset_size(ctx)
 
     def body(rt, ctx, lo, hi):
         added = 0
         for u in range(lo, hi):
             active = yield from frontier_cur.test_and_clear(ctx, u)
-            yield from ctx.work(1)
+            yield ctx.work(1)
             if not active:
                 continue
             start, end = yield from graph.edge_range(ctx, u)
             for e in range(start, end):
-                v = yield from graph.edge_target(ctx, e)
+                v = yield graph.edge_target(ctx, e)
                 ok = yield from functor.cond(ctx, v)
-                yield from ctx.work(1)
+                yield ctx.work(1)
                 if not ok:
                     continue
                 joined = yield from functor.update(ctx, u, v)
                 if joined:
-                    yield from frontier_next.add(ctx, v)
+                    yield frontier_next.add(ctx, v)
                     added += 1
         yield from frontier_next.add_size(ctx, added)
 

@@ -26,40 +26,40 @@ class LigraBellmanFord(LigraApp):
         self.src = self.source_vertex()
 
     def run(self, rt, ctx, grain: int):
-        yield from self.dist.store(ctx, self.src, 0)
-        yield from self.front[0].store(ctx, self.src, 1)
+        yield self.dist.store(ctx, self.src, 0)
+        yield self.front[0].store(ctx, self.src, 1)
         round_index = 0
         while round_index < self.graph.n:  # Bellman-Ford bound
-            yield from ctx.amo("xchg", self.count_addr, 0)
+            yield ctx.amo("xchg", self.count_addr, 0)
             cur = self.front[round_index % 2]
             nxt = self.front[(round_index + 1) % 2]
 
             def body(rt, ctx, lo, hi, cur=cur, nxt=nxt):
                 relaxed = 0
                 for v in range(lo, hi):
-                    active = yield from cur.load(ctx, v)
-                    yield from ctx.work(1)
+                    active = yield cur.load(ctx, v)
+                    yield ctx.work(1)
                     if not active:
                         continue
-                    yield from cur.store(ctx, v, 0)
-                    dv = yield from self.dist.load(ctx, v)
+                    yield cur.store(ctx, v, 0)
+                    dv = yield self.dist.load(ctx, v)
                     start, end = yield from self.g.edge_range(ctx, v)
                     for e in range(start, end):
-                        u = yield from self.g.edge_target(ctx, e)
+                        u = yield self.g.edge_target(ctx, e)
                         w = yield from self.g.edge_weight(ctx, e)
                         candidate = dv + w
-                        yield from ctx.work(1)
-                        old = yield from self.dist.amo(ctx, "min", u, candidate)
+                        yield ctx.work(1)
+                        old = yield self.dist.amo(ctx, "min", u, candidate)
                         if candidate < old:
-                            was = yield from nxt.load(ctx, u)
+                            was = yield nxt.load(ctx, u)
                             if not was:
-                                yield from nxt.store(ctx, u, 1)
+                                yield nxt.store(ctx, u, 1)
                             relaxed += 1
                 if relaxed:
-                    yield from ctx.amo_add(self.count_addr, relaxed)
+                    yield ctx.amo_add(self.count_addr, relaxed)
 
             yield from self.pfor(rt, ctx, body, grain)
-            relaxed = yield from ctx.load(self.count_addr)
+            relaxed = yield ctx.load(self.count_addr)
             if relaxed == 0:
                 break
             round_index += 1

@@ -21,11 +21,11 @@ class _BfsF(EdgeMapF):
         self.parent = parent
 
     def cond(self, ctx, v: int):
-        p = yield from self.parent.load(ctx, v)
+        p = yield self.parent.load(ctx, v)
         return p == -1
 
     def update(self, ctx, u: int, v: int):
-        old = yield from self.parent.cas(ctx, v, -1, u)
+        old = yield self.parent.cas(ctx, v, -1, u)
         return old == -1
 
 
@@ -43,15 +43,15 @@ class LigraBfsEdgeMap(LigraApp):
         self.src = self.source_vertex()
 
     def run(self, rt, ctx, grain: int):
-        yield from self.parent.store(ctx, self.src, self.src)
-        yield from self.frontiers[0].add(ctx, self.src)
+        yield self.parent.store(ctx, self.src, self.src)
+        yield self.frontiers[0].add(ctx, self.src)
         functor = _BfsF(self.parent)
         round_index = 0
         while True:
             cur = self.frontiers[round_index % 2]
             nxt = self.frontiers[(round_index + 1) % 2]
             yield from edge_map(rt, ctx, self.g, cur, nxt, functor, grain)
-            size = yield from nxt.read_size(ctx)
+            size = yield nxt.read_size(ctx)
             if size == 0:
                 break
             round_index += 1

@@ -39,42 +39,42 @@ class LigraMis(LigraApp):
         n = self.graph.n
         total_decided = 0
         while total_decided < n:
-            yield from ctx.amo("xchg", self.decided_addr, 0)
+            yield ctx.amo("xchg", self.decided_addr, 0)
 
             def body(rt, ctx, lo, hi):
                 decided = 0
                 for v in range(lo, hi):
-                    state = yield from self.status.load(ctx, v)
-                    yield from ctx.work(1)
+                    state = yield self.status.load(ctx, v)
+                    yield ctx.work(1)
                     if state != UNDECIDED:
                         continue
-                    prio_v = yield from self.priority.load(ctx, v)
+                    prio_v = yield self.priority.load(ctx, v)
                     start, end = yield from self.g.edge_range(ctx, v)
                     joins = True
                     drops = False
                     for e in range(start, end):
-                        u = yield from self.g.edge_target(ctx, e)
-                        state_u = yield from self.status.load(ctx, u)
-                        yield from ctx.work(1)
+                        u = yield self.g.edge_target(ctx, e)
+                        state_u = yield self.status.load(ctx, u)
+                        yield ctx.work(1)
                         if state_u == IN_SET:
                             drops = True
                             break
                         if state_u == UNDECIDED:
-                            prio_u = yield from self.priority.load(ctx, u)
-                            yield from ctx.work(1)
+                            prio_u = yield self.priority.load(ctx, u)
+                            yield ctx.work(1)
                             if prio_u > prio_v:
                                 joins = False
                     if drops:
-                        yield from self.status.store(ctx, v, OUT)
+                        yield self.status.store(ctx, v, OUT)
                         decided += 1
                     elif joins:
-                        yield from self.status.store(ctx, v, IN_SET)
+                        yield self.status.store(ctx, v, IN_SET)
                         decided += 1
                 if decided:
-                    yield from ctx.amo_add(self.decided_addr, decided)
+                    yield ctx.amo_add(self.decided_addr, decided)
 
             yield from self.pfor(rt, ctx, body, grain)
-            decided = yield from ctx.load(self.decided_addr)
+            decided = yield ctx.load(self.decided_addr)
             total_decided += decided
 
     def check(self) -> None:

@@ -36,30 +36,30 @@ class LigraRadii(LigraApp):
     def run(self, rt, ctx, grain: int):
         round_index = 1
         while round_index <= self.graph.n:
-            yield from ctx.amo("xchg", self.changed_addr, 0)
+            yield ctx.amo("xchg", self.changed_addr, 0)
             cur = self.vis[(round_index - 1) % 2]
             nxt = self.vis[round_index % 2]
 
             def body(rt, ctx, lo, hi, cur=cur, nxt=nxt, r=round_index):
                 any_changed = 0
                 for v in range(lo, hi):
-                    bits = yield from cur.load(ctx, v)
+                    bits = yield cur.load(ctx, v)
                     acc = bits
                     start, end = yield from self.g.edge_range(ctx, v)
                     for e in range(start, end):
-                        u = yield from self.g.edge_target(ctx, e)
-                        nbr_bits = yield from cur.load(ctx, u)
-                        yield from ctx.work(1)
+                        u = yield self.g.edge_target(ctx, e)
+                        nbr_bits = yield cur.load(ctx, u)
+                        yield ctx.work(1)
                         acc |= nbr_bits
-                    yield from nxt.store(ctx, v, acc)
+                    yield nxt.store(ctx, v, acc)
                     if acc != bits:
-                        yield from self.radii.store(ctx, v, r)
+                        yield self.radii.store(ctx, v, r)
                         any_changed = 1
                 if any_changed:
-                    yield from ctx.amo_or(self.changed_addr, 1)
+                    yield ctx.amo_or(self.changed_addr, 1)
 
             yield from self.pfor(rt, ctx, body, grain)
-            changed = yield from ctx.load(self.changed_addr)
+            changed = yield ctx.load(self.changed_addr)
             if changed == 0:
                 break
             round_index += 1

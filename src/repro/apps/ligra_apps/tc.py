@@ -43,14 +43,14 @@ class LigraTriangleCounting(LigraApp):
         def body(rt, ctx, lo, hi):
             local = 0
             for e in range(lo, hi):
-                u = yield from self.edge_src.load(ctx, e)
-                v = yield from self.g.edge_target(ctx, e)
-                yield from ctx.work(1)
+                u = yield self.edge_src.load(ctx, e)
+                v = yield self.g.edge_target(ctx, e)
+                yield ctx.work(1)
                 if v <= u:
                     continue
                 local += yield from self._intersect_gt(ctx, u, v)
             if local:
-                yield from ctx.amo_add(self.count_addr, local)
+                yield ctx.amo_add(self.count_addr, local)
 
         yield from parallel_for(rt, ctx, 0, self.graph.m, body, grain)
 
@@ -64,10 +64,10 @@ class LigraTriangleCounting(LigraApp):
         a = b = None
         while i < u_end and j < v_end:
             if a is None:
-                a = yield from g.edge_target(ctx, i)
+                a = yield g.edge_target(ctx, i)
             if b is None:
-                b = yield from g.edge_target(ctx, j)
-            yield from ctx.work(1)
+                b = yield g.edge_target(ctx, j)
+            yield ctx.work(1)
             if a == b:
                 if a > v:
                     count += 1

@@ -153,11 +153,11 @@ class WorkStealingRuntime:
 
     def _init_descriptor(self, ctx, task: Task):
         """Simulated stores initializing rc/hsc/args (task construction)."""
-        yield from ctx.work(SPAWN_OVERHEAD)
-        yield from ctx.store(task.rc_addr, 0)
-        yield from ctx.store(task.hsc_addr, 0)
+        yield ctx.work(SPAWN_OVERHEAD)
+        yield ctx.store(task.rc_addr, 0)
+        yield ctx.store(task.hsc_addr, 0)
         for i in range(task.ARG_WORDS):
-            yield from ctx.store(task.arg_addr(i), 0)
+            yield ctx.store(task.arg_addr(i), 0)
 
     # ------------------------------------------------------------------
     # Public API: spawn / wait / fork_join
@@ -174,20 +174,20 @@ class WorkStealingRuntime:
         elif self.variant == "hw":
             yield from dq.lock_acquire(ctx)
             yield from dq.enqueue(ctx, task.task_id)
-            yield from dq.lock_release(ctx)
+            yield dq.lock_release(ctx)
         elif self.variant == "hcc":
             yield from dq.lock_acquire(ctx)
-            yield from ctx.cache_invalidate()
+            yield ctx.cache_invalidate()
             yield from dq.enqueue(ctx, task.task_id)
-            yield from ctx.cache_flush()
-            yield from dq.lock_release(ctx)
+            yield ctx.cache_flush()
+            yield dq.lock_release(ctx)
         else:  # dts
-            yield from ctx.uli_disable()
+            yield ctx.uli_disable()
             yield from dq.enqueue(ctx, task.task_id)
-            yield from ctx.uli_enable()
+            yield ctx.uli_enable()
             if not self.dts_elide_queue_sync:
                 # Ablation: keep the conservative per-spawn flush.
-                yield from ctx.cache_flush()
+                yield ctx.cache_flush()
 
     def wait(self, ctx, parent: Task):
         """Figure 3 ``task::wait``: scheduling loop until children join."""
@@ -212,7 +212,7 @@ class WorkStealingRuntime:
                 self.register_task(child, parent)
                 yield from child.execute(self, ctx)
             return
-        yield from ctx.store(parent.rc_addr, len(children))
+        yield ctx.store(parent.rc_addr, len(children))
         for child in children:
             self.register_task(child, parent)
             yield from self._init_descriptor(ctx, child)
@@ -249,8 +249,8 @@ class WorkStealingRuntime:
                 ctx.tid, now, task.task_id, type(task).__name__
             )
         for i in range(task.ARG_WORDS):
-            yield from ctx.load(task.arg_addr(i))
-        yield from ctx.work(TASK_START_OVERHEAD)
+            yield ctx.load(task.arg_addr(i))
+        yield ctx.work(TASK_START_OVERHEAD)
         yield from task.execute(self, ctx)
         core.spinning = spin_prev
         if self._tracing:
@@ -258,7 +258,7 @@ class WorkStealingRuntime:
 
     def _decrement_parent_amo(self, ctx, task: Task):
         if task.parent is not None:
-            yield from ctx.amo_sub(task.parent.rc_addr, 1)
+            yield ctx.amo_sub(task.parent.rc_addr, 1)
 
     def _choose_victim(self, ctx) -> int:
         if self.steal_policy == "big-first":
@@ -273,12 +273,14 @@ class WorkStealingRuntime:
     # Steal backoff
     # ------------------------------------------------------------------
     def _steal_backoff(self, ctx):
+        """The idle op that backs off after a failed steal (one op:
+        ``yield self._steal_backoff(ctx)``)."""
         failures = getattr(ctx, "_steal_failures", 0)
         ctx._steal_failures = failures + 1
         window = min(STEAL_BACKOFF << min(failures, 6), STEAL_BACKOFF_CAP)
         if self._tracing:
             self.tracer.core_state(ctx.tid, self.machine.sim.now, "idle")
-        yield from ctx.idle(window + ctx.rng.randint(0, window))
+        return ctx.idle(window + ctx.rng.randint(0, window))
 
     @staticmethod
     def _steal_succeeded(ctx):
@@ -294,7 +296,7 @@ class WorkStealingRuntime:
         else:
             yield from dq.lock_acquire(ctx)
             task_id = yield from dq.dequeue_tail(ctx)
-            yield from dq.lock_release(ctx)
+            yield dq.lock_release(ctx)
         if not task_id:
             return False
         task = self.tasks[task_id]
@@ -305,7 +307,7 @@ class WorkStealingRuntime:
 
     def _steal_hw(self, ctx):
         if self.n_threads < 2:
-            yield from ctx.idle(STEAL_BACKOFF)
+            yield ctx.idle(STEAL_BACKOFF)
             return False
         self.stats.add("steal_attempts")
         # The attempt's start cycle lives on ctx, not in a frame local:
@@ -323,9 +325,9 @@ class WorkStealingRuntime:
         else:
             yield from vdq.lock_acquire(ctx)
             task_id = yield from vdq.steal_head(ctx)
-            yield from vdq.lock_release(ctx)
+            yield vdq.lock_release(ctx)
         if not task_id:
-            yield from self._steal_backoff(ctx)
+            yield self._steal_backoff(ctx)
             return False
         self._steal_succeeded(ctx)
         task = self.tasks[task_id]
@@ -345,7 +347,7 @@ class WorkStealingRuntime:
         while True:
             if self._tracing:
                 self.tracer.core_state(ctx.tid, self.machine.sim.now, "waiting")
-            rc = yield from ctx.load(parent.rc_addr)
+            rc = yield ctx.load(parent.rc_addr)
             if rc <= 0:
                 core.spinning = False
                 return
@@ -364,10 +366,10 @@ class WorkStealingRuntime:
             task_id = yield from dq.take(ctx)
         else:
             yield from dq.lock_acquire(ctx)
-            yield from ctx.cache_invalidate()
+            yield ctx.cache_invalidate()
             task_id = yield from dq.dequeue_tail(ctx)
-            yield from ctx.cache_flush()
-            yield from dq.lock_release(ctx)
+            yield ctx.cache_flush()
+            yield dq.lock_release(ctx)
         if not task_id:
             return False
         task = self.tasks[task_id]
@@ -378,7 +380,7 @@ class WorkStealingRuntime:
 
     def _steal_hcc(self, ctx):
         if self.n_threads < 2:
-            yield from ctx.idle(STEAL_BACKOFF)
+            yield ctx.idle(STEAL_BACKOFF)
             return False
         self.stats.add("steal_attempts")
         # On ctx for checkpoint restore; see _steal_hw.
@@ -391,12 +393,12 @@ class WorkStealingRuntime:
             task_id = yield from vdq.steal(ctx)
         else:
             yield from vdq.lock_acquire(ctx)
-            yield from ctx.cache_invalidate()
+            yield ctx.cache_invalidate()
             task_id = yield from vdq.steal_head(ctx)
-            yield from ctx.cache_flush()
-            yield from vdq.lock_release(ctx)
+            yield ctx.cache_flush()
+            yield vdq.lock_release(ctx)
         if not task_id:
-            yield from self._steal_backoff(ctx)
+            yield self._steal_backoff(ctx)
             return False
         self._steal_succeeded(ctx)
         task = self.tasks[task_id]
@@ -408,10 +410,10 @@ class WorkStealingRuntime:
             )
         # The stolen task's parent ran on another thread: invalidate to see
         # its writes, flush afterwards so the parent can see ours.
-        yield from ctx.cache_invalidate()
+        yield ctx.cache_invalidate()
         yield from self._run_task(ctx, task)
         if self.break_coherence != "no-thief-flush":
-            yield from ctx.cache_flush()
+            yield ctx.cache_flush()
         yield from self._decrement_parent_amo(ctx, task)
         return True
 
@@ -421,7 +423,7 @@ class WorkStealingRuntime:
         while True:
             if self._tracing:
                 self.tracer.core_state(ctx.tid, self.machine.sim.now, "waiting")
-            rc = yield from ctx.amo_or(parent.rc_addr, 0)
+            rc = yield ctx.amo_or(parent.rc_addr, 0)
             if rc <= 0:
                 break
             executed = yield from self._poll_local_hcc(ctx)
@@ -431,16 +433,16 @@ class WorkStealingRuntime:
         # A child may have been stolen and executed remotely: invalidate so
         # the parent sees its children's writes (DAG consistency, req. 2).
         if self.break_coherence != "no-parent-invalidate":
-            yield from ctx.cache_invalidate()
+            yield ctx.cache_invalidate()
 
     # ------------------------------------------------------------------
     # Variant: direct task stealing (Figure 3c)
     # ------------------------------------------------------------------
     def _poll_local_dts(self, ctx):
         dq = self.deques[ctx.tid]
-        yield from ctx.uli_disable()
+        yield ctx.uli_disable()
         task_id = yield from dq.dequeue_tail(ctx)
-        yield from ctx.uli_enable()
+        yield ctx.uli_enable()
         if not task_id:
             return False
         task = self.tasks[task_id]
@@ -456,16 +458,16 @@ class WorkStealingRuntime:
         if not self.dts_elide_parent_sync:
             yield from self._decrement_parent_amo(ctx, task)
             return
-        hsc = yield from ctx.load(task.parent.hsc_addr)
+        hsc = yield ctx.load(task.parent.hsc_addr)
         if hsc:
             yield from self._decrement_parent_amo(ctx, task)
         else:
-            rc = yield from ctx.load(task.parent.rc_addr)
-            yield from ctx.store(task.parent.rc_addr, rc - 1)
+            rc = yield ctx.load(task.parent.rc_addr)
+            yield ctx.store(task.parent.rc_addr, rc - 1)
 
     def _steal_dts(self, ctx):
         if self.n_threads < 2:
-            yield from ctx.idle(STEAL_BACKOFF)
+            yield ctx.idle(STEAL_BACKOFF)
             return False
         self.stats.add("steal_attempts")
         # On ctx for checkpoint restore; see _steal_hw.
@@ -473,14 +475,14 @@ class WorkStealingRuntime:
         if self._tracing:
             self.tracer.core_state(ctx.tid, steal_start, "steal-attempt")
         vid = self._choose_victim(ctx)
-        ack = yield from ctx.uli_send_req(vid)
+        ack = yield ctx.uli_send_req(vid)
         if not ack:
             self.stats.add("steal_nacks")
-            yield from self._steal_backoff(ctx)
+            yield self._steal_backoff(ctx)
             return False
-        task_id = yield from ctx.amo("xchg", self._mailboxes[ctx.tid], 0)
+        task_id = yield ctx.amo("xchg", self._mailboxes[ctx.tid], 0)
         if not task_id:
-            yield from self._steal_backoff(ctx)
+            yield self._steal_backoff(ctx)
             return False
         self._steal_succeeded(ctx)
         task = self.tasks[task_id]
@@ -490,10 +492,10 @@ class WorkStealingRuntime:
                 ctx.tid, vid, task_id, ctx._steal_start,
                 self.machine.sim.now, self.variant,
             )
-        yield from ctx.cache_invalidate()
+        yield ctx.cache_invalidate()
         yield from self._run_task(ctx, task)
         if self.break_coherence != "no-thief-flush":
-            yield from ctx.cache_flush()
+            yield ctx.cache_flush()
         yield from self._decrement_parent_amo(ctx, task)
         return True
 
@@ -502,7 +504,7 @@ class WorkStealingRuntime:
         core.spinning = True
         if self._tracing:
             self.tracer.core_state(ctx.tid, self.machine.sim.now, "waiting")
-        rc = yield from ctx.load(parent.rc_addr)
+        rc = yield ctx.load(parent.rc_addr)
         while rc > 0:
             if self._tracing:
                 self.tracer.core_state(ctx.tid, self.machine.sim.now, "waiting")
@@ -510,21 +512,21 @@ class WorkStealingRuntime:
             if not executed:
                 yield from self._steal_dts(ctx)
             if self.dts_elide_parent_sync:
-                hsc = yield from ctx.load(parent.hsc_addr)
+                hsc = yield ctx.load(parent.hsc_addr)
             else:
                 hsc = 1
             if hsc:
-                rc = yield from ctx.amo_or(parent.rc_addr, 0)
+                rc = yield ctx.amo_or(parent.rc_addr, 0)
             else:
-                rc = yield from ctx.load(parent.rc_addr)
+                rc = yield ctx.load(parent.rc_addr)
         core.spinning = False
         if self.dts_elide_parent_sync:
-            hsc = yield from ctx.load(parent.hsc_addr)
+            hsc = yield ctx.load(parent.hsc_addr)
         else:
             hsc = 1
         if hsc and self.break_coherence != "no-parent-invalidate":
             # Some child ran remotely: invalidate to see its writes.
-            yield from ctx.cache_invalidate()
+            yield ctx.cache_invalidate()
 
     # ------------------------------------------------------------------
     # DTS victim-side ULI handler (Figure 3c lines 47-53)
@@ -554,9 +556,9 @@ class WorkStealingRuntime:
                 self.progress += 1
                 task = self.tasks[task_id]
                 if task.parent is not None:
-                    yield from ctx.store(task.parent.hsc_addr, 1)
-                yield from ctx.amo("xchg", self._mailboxes[thief_core_id], task_id)
-                yield from ctx.cache_flush()
+                    yield ctx.store(task.parent.hsc_addr, 1)
+                yield ctx.amo("xchg", self._mailboxes[thief_core_id], task_id)
+                yield ctx.cache_flush()
                 self.stats.add("uli_tasks_exported")
             core.spinning = spin_prev
 
@@ -567,7 +569,7 @@ class WorkStealingRuntime:
     # ------------------------------------------------------------------
     def _main_thread(self, ctx, root: Task):
         if self.variant == "dts":
-            yield from ctx.uli_enable()
+            yield ctx.uli_enable()
         yield from self.run_inline(ctx, root)
         self.done = True
 
@@ -583,7 +585,7 @@ class WorkStealingRuntime:
             "dts": self._steal_dts,
         }[self.variant]
         if self.variant == "dts":
-            yield from ctx.uli_enable()
+            yield ctx.uli_enable()
         ctx.core.spinning = True
         while not self.done:
             if self._tracing:

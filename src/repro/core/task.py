@@ -1,8 +1,9 @@
 """Tasks: the unit of dynamic parallelism (Section II-C of the paper).
 
 A task is a Python object whose ``execute`` method is a simulated-thread
-generator (it ``yield from``-s :class:`repro.cores.context.ThreadContext`
-operations).  Each task owns a small *descriptor block* in simulated shared
+generator: it yields the ops that :class:`repro.cores.context.ThreadContext`
+methods return (``v = yield ctx.load(addr)``) and delegates to runtime
+helpers such as ``rt.fork_join`` with ``yield from``.  Each task owns a small *descriptor block* in simulated shared
 memory holding the fields the runtime synchronizes on:
 
 * ``rc``  (+0)  — the reference count of unfinished children, updated with

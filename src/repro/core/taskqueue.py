@@ -39,61 +39,61 @@ class TaskDeque:
         return self._slots + (index % self.capacity) * WORD_BYTES
 
     # ------------------------------------------------------------------
-    # Locking (generator methods)
+    # Locking
     # ------------------------------------------------------------------
     def lock_acquire(self, ctx):
         """Test-and-set spin lock with bounded exponential backoff."""
         backoff = self.BACKOFF_MIN
         while True:
-            old = yield from ctx.cas(self.lock_addr, 0, 1)
+            old = yield ctx.cas(self.lock_addr, 0, 1)
             if old == 0:
                 return
-            yield from ctx.idle(backoff + (ctx.rng.randint(0, backoff) if backoff else 0))
+            yield ctx.idle(backoff + (ctx.rng.randint(0, backoff) if backoff else 0))
             backoff = min(backoff * 2, self.BACKOFF_MAX)
 
     def lock_release(self, ctx):
-        """Release the lock so that the release is globally visible.
+        """The op that releases the lock so the release is globally
+        visible (one op: ``yield dq.lock_release(ctx)``).
 
         Ownership protocols (MESI, DeNovo) and write-through (GPU-WT)
         propagate a plain store; GPU-WB dirty data stays private until a
         flush, so the release must itself be an AMO at the shared cache.
         """
         if ctx.core.l1.LOCK_RELEASE_AMO:
-            yield from ctx.amo("xchg", self.lock_addr, 0)
-        else:
-            yield from ctx.store(self.lock_addr, 0)
+            return ctx.amo("xchg", self.lock_addr, 0)
+        return ctx.store(self.lock_addr, 0)
 
     # ------------------------------------------------------------------
     # Queue operations (caller must hold the lock / have ULI disabled)
     # ------------------------------------------------------------------
     def enqueue(self, ctx, task_id: int):
         """Push a task id at the tail (``enq`` in Figure 3)."""
-        tail = yield from ctx.load(self.tail_addr)
-        head = yield from ctx.load(self.head_addr)
+        tail = yield ctx.load(self.tail_addr)
+        head = yield ctx.load(self.head_addr)
         if tail - head >= self.capacity:
             raise SimulationError(
                 f"task deque {self.owner_tid} overflow (capacity {self.capacity})"
             )
-        yield from ctx.store(self._slot_addr(tail), task_id)
-        yield from ctx.store(self.tail_addr, tail + 1)
+        yield ctx.store(self._slot_addr(tail), task_id)
+        yield ctx.store(self.tail_addr, tail + 1)
 
     def dequeue_tail(self, ctx):
         """Pop LIFO from the tail (``deq``); returns 0 when empty."""
-        tail = yield from ctx.load(self.tail_addr)
-        head = yield from ctx.load(self.head_addr)
+        tail = yield ctx.load(self.tail_addr)
+        head = yield ctx.load(self.head_addr)
         if head >= tail:
             return 0
         tail -= 1
-        task_id = yield from ctx.load(self._slot_addr(tail))
-        yield from ctx.store(self.tail_addr, tail)
+        task_id = yield ctx.load(self._slot_addr(tail))
+        yield ctx.store(self.tail_addr, tail)
         return task_id
 
     def steal_head(self, ctx):
         """Pop FIFO from the head (``steal``); returns 0 when empty."""
-        head = yield from ctx.load(self.head_addr)
-        tail = yield from ctx.load(self.tail_addr)
+        head = yield ctx.load(self.head_addr)
+        tail = yield ctx.load(self.tail_addr)
         if head >= tail:
             return 0
-        task_id = yield from ctx.load(self._slot_addr(head))
-        yield from ctx.store(self.head_addr, head + 1)
+        task_id = yield ctx.load(self._slot_addr(head))
+        yield ctx.store(self.head_addr, head + 1)
         return task_id

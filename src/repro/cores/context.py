@@ -1,12 +1,21 @@
 """Thread context: the programming interface of a simulated hardware thread.
 
-Runtime and application code calls these generator methods with
-``yield from``; each wraps one architectural operation.  Example::
+Each op method *returns* the :mod:`repro.cores.ops` object for one
+architectural operation; thread code yields it to its core, which resumes
+the generator with the op's result once the op's latency has elapsed::
 
-    def execute(self, ctx):
-        n = yield from ctx.load(self.addr)
-        yield from ctx.work(5)
-        yield from ctx.store(self.addr, n + 1)
+    def execute(self, rt, ctx):
+        n = yield ctx.load(self.addr)
+        yield ctx.work(5)
+        yield ctx.store(self.addr, n + 1)
+
+Runtime and application helpers that issue several ops (``rt.fork_join``,
+``parallel_for``, a deque's ``push``) stay generators and are delegated to
+with ``yield from``.
+
+``work(n)`` and ``idle(n)`` with ``n <= 0`` return None instead of an op.
+The core answers a yielded None with None at once: it costs no cycles,
+counts nothing and is not an op boundary (no ULI handler can enter there).
 
 The context also carries the thread id and a per-thread RNG used by victim
 selection, keeping all randomness deterministic per run.
@@ -14,7 +23,7 @@ selection, keeping all randomness deterministic per run.
 
 from __future__ import annotations
 
-from typing import Any, Tuple
+from typing import Any, Optional
 
 from repro.engine.rng import XorShift64
 from repro.cores import ops
@@ -23,7 +32,7 @@ from repro.cores import ops
 class ThreadContext:
     """Per-hardware-thread handle passed to runtime and task code."""
 
-    def __init__(self, core, tid: int, n_threads: int, rng: XorShift64):
+    def __init__(self, core, tid: int, n_threads: int, rng: Optional[XorShift64]):
         self.core = core
         self.tid = tid
         self.n_threads = n_threads
@@ -32,76 +41,65 @@ class ThreadContext:
     # ------------------------------------------------------------------
     # Memory operations
     # ------------------------------------------------------------------
-    def load(self, addr: int):
-        value = yield ops.Load(addr)
-        return value
+    def load(self, addr: int) -> ops.Load:
+        return ops.Load(addr)
 
-    def bypass_load(self, addr: int):
+    def bypass_load(self, addr: int) -> ops.Load:
         """Uncached load resolved at the shared L2 (mailbox reads)."""
-        value = yield ops.Load(addr, bypass=True)
-        return value
+        return ops.Load(addr, bypass=True)
 
-    def store(self, addr: int, value: Any):
-        yield ops.Store(addr, value)
+    def store(self, addr: int, value: Any) -> ops.Store:
+        return ops.Store(addr, value)
 
-    def amo(self, op: str, addr: int, operand: Any):
-        old = yield ops.Amo(op, addr, operand)
-        return old
+    def amo(self, op: str, addr: int, operand: Any) -> ops.Amo:
+        return ops.Amo(op, addr, operand)
 
-    def cas(self, addr: int, expected: int, desired: int):
-        """Compare-and-swap; returns the old value (== expected on success)."""
-        old = yield ops.Amo("cas", addr, (expected, desired))
-        return old
+    def cas(self, addr: int, expected: int, desired: int) -> ops.Amo:
+        """Compare-and-swap; yields the old value (== expected on success)."""
+        return ops.Amo("cas", addr, (expected, desired))
 
-    def amo_add(self, addr: int, delta: int):
-        old = yield ops.Amo("add", addr, delta)
-        return old
+    def amo_add(self, addr: int, delta: int) -> ops.Amo:
+        return ops.Amo("add", addr, delta)
 
-    def amo_sub(self, addr: int, delta: int):
-        old = yield ops.Amo("sub", addr, delta)
-        return old
+    def amo_sub(self, addr: int, delta: int) -> ops.Amo:
+        return ops.Amo("sub", addr, delta)
 
-    def amo_or(self, addr: int, bits: int):
-        old = yield ops.Amo("or", addr, bits)
-        return old
+    def amo_or(self, addr: int, bits: int) -> ops.Amo:
+        return ops.Amo("or", addr, bits)
 
-    def amo_min(self, addr: int, value: int):
-        old = yield ops.Amo("min", addr, value)
-        return old
+    def amo_min(self, addr: int, value: int) -> ops.Amo:
+        return ops.Amo("min", addr, value)
 
     # ------------------------------------------------------------------
     # Compute / waiting
     # ------------------------------------------------------------------
-    def work(self, n: int):
-        if n > 0:
-            yield ops.Work(n)
+    def work(self, n: int) -> Optional[ops.Work]:
+        return ops.Work(n) if n > 0 else None
 
-    def idle(self, n: int):
-        if n > 0:
-            yield ops.Idle(n)
+    def idle(self, n: int) -> Optional[ops.Idle]:
+        return ops.Idle(n) if n > 0 else None
 
     # ------------------------------------------------------------------
     # Software coherence instructions
     # ------------------------------------------------------------------
-    def cache_invalidate(self):
-        yield ops.INV_ALL
+    def cache_invalidate(self) -> ops.InvAll:
+        return ops.INV_ALL
 
-    def cache_flush(self):
-        yield ops.FLUSH_ALL
+    def cache_flush(self) -> ops.FlushAll:
+        return ops.FLUSH_ALL
 
     # ------------------------------------------------------------------
     # User-level interrupts (Direct Task Stealing)
     # ------------------------------------------------------------------
-    def uli_send_req(self, victim_tid: int):
-        """Send a steal request; blocks until ACK/NACK. Returns ack bool."""
-        ack = yield ops.UliSend(victim_tid)
-        return ack
+    def uli_send_req(self, victim_tid: int) -> ops.UliSend:
+        """Send a steal request; yields the ACK (True) or NACK (False)."""
+        return ops.UliSend(victim_tid)
 
-    def uli_enable(self):
-        yield ops.ULI_ENABLE
+    def uli_enable(self) -> ops.UliEnable:
+        return ops.ULI_ENABLE
 
-    def uli_disable(self):
-        yield ops.ULI_DISABLE
+    def uli_disable(self) -> ops.UliDisable:
+        return ops.ULI_DISABLE
 
     # ------------------------------------------------------------------
     # Helpers
@@ -109,8 +107,3 @@ class ThreadContext:
     def choose_victim(self) -> int:
         """Uniform random victim other than self (paper: random selection)."""
         return self.rng.choice_excluding(self.n_threads, self.tid)
-
-    def load_pair(self, addr_a: int, addr_b: int) -> Tuple[int, int]:
-        a = yield from self.load(addr_a)
-        b = yield from self.load(addr_b)
-        return a, b

@@ -26,18 +26,28 @@ bound-method table (``_op_*``, each returning ``(result, latency)``), and
 then asks the simulator for the event-fusion fast path
 (:meth:`repro.engine.simulator.Simulator.try_fuse`).  If the completion
 is strictly earlier than every pending event the clock advances inline
-and the loop continues — no closure allocation, no heap traffic, no event
-dispatch.  Otherwise the op parks its result on the core and schedules a
-*preallocated* continuation (``_complete_cont``), which re-enters the
-trampoline when the event fires.  ULI handler entry is checked at exactly
-the op boundaries where the unfused path would check it, so fused and
-unfused runs are cycle- and statistic-identical.
+and the loop continues — no closure allocation, no calendar traffic, no
+event dispatch.  Otherwise the op parks its result on the core and appends
+a *preallocated* continuation (``_complete_cont``, the bound trampoline
+itself) straight to the simulator's per-cycle event calendar; when that
+event fires the trampoline takes the parked result, checks for a pending
+ULI at this op boundary, and carries on.  ULI handler entry is checked at
+exactly the op boundaries where the unfused path would check it, so fused
+and unfused runs are cycle- and statistic-identical.
+
+Thread code yields ops *by value* (``v = yield ctx.load(addr)``): the
+:class:`~repro.cores.context.ThreadContext` methods return ``ops.*``
+objects, so an op costs no wrapper generator and no extra delegation
+frame.  A yielded ``None`` (what ``ctx.work(n)``/``ctx.idle(n)`` return
+for ``n <= 0``) is answered with ``None`` at once: no cycles, no counters,
+no op boundary.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
+from heapq import heappush
 from typing import Any, Callable, Generator, List, Optional
 
 from repro.cores import ops
@@ -52,6 +62,10 @@ from repro.trace.tracer import NULL_TRACER
 #: Sentinel pushed on the resume stack when a handler interrupts a core
 #: that is blocked waiting for its own ULI response (no value to deliver).
 _NO_RESULT = object()
+
+#: Default argument of :meth:`Core._resume`: called with no argument (as
+#: the op-completion event), the trampoline resumes with the parked result.
+_PENDING = object()
 
 #: Stat categories for the Figure 7 execution-time breakdown.
 TIME_CATEGORIES = (
@@ -172,10 +186,10 @@ class Core:
         #: Wired by :meth:`attach_peers`; an unattached core fails loudly.
         self._peers: Optional[List["Core"]] = None
 
-        # Preallocated continuations: the event queue carries these bound
-        # methods instead of a fresh closure per operation.
+        # Preallocated continuations: the event calendar carries these
+        # bound methods instead of a fresh closure per operation.
         self._pending_result: Any = None
-        self._complete_cont = self._on_complete
+        self._complete_cont = self._resume
         self._resume_none_cont = self._resume_none
 
         # Per-kind dispatch table and the raw counter dict of this core's
@@ -226,31 +240,36 @@ class Core:
     def _resume_none(self) -> None:
         self._resume(None)
 
-    def _on_complete(self) -> None:
-        """An operation's completion event fired: take a pending ULI
-        first (this is an op boundary), else resume the thread."""
-        result = self._pending_result
-        self._pending_result = None
-        if self._pending_uli is not None and self.uli_enabled and not self._in_handler:
-            self._resume_stack.append(result)
-            self._enter_handler()
-            return
-        self._resume(result)
-
-    def _resume(self, value: Any) -> None:
+    def _resume(self, value: Any = _PENDING) -> None:
         """Drive the thread coroutine, fusing op completions inline.
+
+        Called without an argument it is the op-completion event
+        (``_complete_cont``): the parked result is taken, and a pending
+        ULI is entered first, since this is an op boundary.
 
         Each iteration is one architectural operation: send the previous
         result in, dispatch the yielded op, and either continue inline
         (fusion granted: the completion is provably the next event) or
-        park the result and schedule the preallocated continuation.
+        park the result and append the preallocated continuation to the
+        simulator's per-cycle calendar.
 
         The fusion test is :meth:`Simulator.try_fuse` inlined with its
-        operands hoisted to locals (the queue lists are mutated in place
-        and ``_fusible``/``max_cycles`` cannot change while a callback is
-        running, so hoisting is safe); with fusion disabled the loop pays
-        exactly one extra branch per op.
+        operands hoisted to locals (the calendar structures are mutated in
+        place and ``_fusible``/``max_cycles`` cannot change while a
+        callback is running, so hoisting is safe); with fusion disabled
+        the loop pays exactly one extra branch per op.
         """
+        if value is _PENDING:
+            value = self._pending_result
+            self._pending_result = None
+            if (
+                self._pending_uli is not None
+                and self.uli_enabled
+                and not self._in_handler
+            ):
+                self._resume_stack.append(value)
+                self._enter_handler()
+                return
         if self._ff is not None:
             return self._resume_ff(value)
         if self._prof is not None:
@@ -258,7 +277,8 @@ class Core:
         frames = self._frames
         sim = self.sim
         table = self._dispatch_table
-        queue = sim._queue
+        cycles = sim._cycles
+        calendar = sim._calendar
         daemon_queue = sim._daemon_queue
         max_cycles = sim.max_cycles
         fusible = sim._fusible
@@ -289,6 +309,12 @@ class Core:
                     return
                 try:
                     fn = table[op.KIND]
+                except AttributeError:
+                    if op is None:
+                        # work/idle with n <= 0: free, and no op boundary.
+                        value = None
+                        continue
+                    raise SimulationError(f"thread yielded {op!r}, not an op") from None
                 except KeyError:
                     raise SimulationError(f"unknown op kind {op.KIND!r}") from None
                 out = fn(op)
@@ -304,13 +330,13 @@ class Core:
                     fusible
                     and completion <= max_cycles
                     and not sim._stop_requested
-                    and (not queue or queue[0][0] > completion)
+                    and (not cycles or cycles[0] > completion)
                     and (not daemon_queue or daemon_queue[0][0] > completion)
                 ):
                     sim.now = completion
                     fused += 1
                     # Op boundary: identical ULI handler entry check to the
-                    # one _on_complete performs on the unfused path.
+                    # one the completion event performs on the unfused path.
                     if (
                         self._pending_uli is not None
                         and self.uli_enabled
@@ -321,13 +347,20 @@ class Core:
                         return
                     continue
                 self._pending_result = value
-                sim.schedule_at(completion, self._complete_cont)
+                # Simulator.schedule_at inlined: join the completion
+                # cycle's FIFO list, pushing the cycle if it is new.
+                bucket = calendar.get(completion)
+                if bucket is None:
+                    calendar[completion] = [self._complete_cont]
+                    heappush(cycles, completion)
+                else:
+                    bucket.append(self._complete_cont)
                 return
         finally:
             if fused:
                 sim.events_fused += fused
 
-    def _resume_profiled(self, value: Any) -> None:
+    def _resume_profiled(self, value: Any = _PENDING) -> None:
         """Probed twin of :meth:`_resume` (repro.obs.profile).
 
         Identical control flow — every branch below mirrors ``_resume``
@@ -336,13 +369,25 @@ class Core:
         generator code) and the ``_op_*`` dispatch body.  Kept separate so
         the unprofiled loop pays a single ``_prof is not None`` branch.
         """
+        if value is _PENDING:
+            value = self._pending_result
+            self._pending_result = None
+            if (
+                self._pending_uli is not None
+                and self.uli_enabled
+                and not self._in_handler
+            ):
+                self._resume_stack.append(value)
+                self._enter_handler()
+                return
         prof = self._prof
         enter = prof.enter
         leave = prof.exit
         frames = self._frames
         sim = self.sim
         table = self._dispatch_table
-        queue = sim._queue
+        cycles = sim._cycles
+        calendar = sim._calendar
         daemon_queue = sim._daemon_queue
         max_cycles = sim.max_cycles
         fusible = sim._fusible
@@ -374,6 +419,11 @@ class Core:
                     return
                 try:
                     fn = table[op.KIND]
+                except AttributeError:
+                    if op is None:
+                        value = None
+                        continue
+                    raise SimulationError(f"thread yielded {op!r}, not an op") from None
                 except KeyError:
                     raise SimulationError(f"unknown op kind {op.KIND!r}") from None
                 enter(prof.op_label(op.KIND))
@@ -391,7 +441,7 @@ class Core:
                     fusible
                     and completion <= max_cycles
                     and not sim._stop_requested
-                    and (not queue or queue[0][0] > completion)
+                    and (not cycles or cycles[0] > completion)
                     and (not daemon_queue or daemon_queue[0][0] > completion)
                 ):
                     sim.now = completion
@@ -406,7 +456,14 @@ class Core:
                         return
                     continue
                 self._pending_result = value
-                sim.schedule_at(completion, self._complete_cont)
+                # Simulator.schedule_at inlined: join the completion
+                # cycle's FIFO list, pushing the cycle if it is new.
+                bucket = calendar.get(completion)
+                if bucket is None:
+                    calendar[completion] = [self._complete_cont]
+                    heappush(cycles, completion)
+                else:
+                    bucket.append(self._complete_cont)
                 return
         finally:
             if fused:
@@ -485,7 +542,13 @@ class Core:
                     if not frames:
                         self.halted = True
                     return
-                kind = op.KIND
+                try:
+                    kind = op.KIND
+                except AttributeError:
+                    if op is None:
+                        value = None
+                        continue
+                    raise SimulationError(f"thread yielded {op!r}, not an op") from None
                 if kind == "work":
                     n = op.n
                     executed += n
@@ -782,8 +845,8 @@ class Core:
             # no op boundary will occur, so take the interrupt immediately.
             self._resume_stack.append(_NO_RESULT)
             self._enter_handler()
-        # Otherwise the handler starts at the next op boundary
-        # (_on_complete, or the fused boundary check in _resume).
+        # Otherwise the handler starts at the next op boundary (the
+        # completion event's or the fused boundary check in _resume).
 
     def _can_enter_handler(self) -> bool:
         return (

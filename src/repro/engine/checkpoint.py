@@ -1,7 +1,7 @@
 """Deterministic simulation checkpoint/restore (gem5-style).
 
 A *run snapshot* captures the complete deterministic state of a simulation
-at an event boundary — clock and event heap, per-core coroutine stacks,
+at an event boundary — clock and event calendar, per-core coroutine stacks,
 runtime bookkeeping, every cache/directory/DRAM/NoC/traffic structure,
 statistics, RNG streams, tracer events, and backing memory — so the run can
 be killed and later finished in a fresh process with byte-identical
@@ -23,7 +23,7 @@ frame of its core (popping on ``StopIteration``, pushing handler frames on
 markers).  Host-side state mutated between yields (task registration,
 address-space allocation, per-thread RNG draws, progress counters)
 re-executes identically because it is a pure function of the sent values.
-Everything else — simulated time, caches, stats, memory, heap events — is
+Everything else — simulated time, caches, stats, memory, pending events — is
 then overwritten concretely from the snapshot, which also clobbers any
 double-counting the replay performed.  Replay never dispatches op handlers
 and never advances the clock; tracing is suppressed for its duration.
@@ -31,7 +31,7 @@ and never advances the clock; tracing is suppressed for its duration.
 Determinism argument, in brief: (1) all generator sends go through the
 logged call site, so the log is a complete replay script for the coroutine
 stacks; (2) op handlers (``Core._op_*``) only touch state that is restored
-concretely; (3) the event heap contains only four callback shapes (core
+concretely; (3) the event calendar holds only four callback shapes (core
 wake, op completion, ULI request, ULI response — the latter two are
 ``functools.partial`` objects precisely so they are recognizable), each
 reducible to a plain descriptor; (4) daemon events are observers that
@@ -160,9 +160,9 @@ def load_snapshot(path: str) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Event-heap descriptors
+# Event descriptors
 #
-# Exactly four callback shapes ever reach the regular event heap (see
+# Exactly four callback shapes ever reach the regular event calendar (see
 # Core.start/_resume/_send_uli/_respond); anything else is a bug worth
 # failing loudly on.
 # ----------------------------------------------------------------------
@@ -171,7 +171,7 @@ def _describe_event(entry) -> tuple:
     bound_self = getattr(callback, "__self__", None)
     if bound_self is not None:
         name = getattr(callback, "__name__", "")
-        if name == "_on_complete":
+        if name == "_resume":
             return (time, seq, "complete", bound_self.core_id)
         if name == "_resume_none":
             return (time, seq, "wake", bound_self.core_id)
@@ -383,7 +383,7 @@ def capture_run_state(machine) -> dict:
 
     Must be called between events — from a daemon callback or outside
     ``sim.run()`` — so every core is parked (its continuation, if any, is
-    on the heap and its pending result is concrete).
+    in the calendar and its pending result is concrete).
     """
     if machine._ckpt_log is None:
         raise CheckpointError(

@@ -38,6 +38,7 @@ class DramController:
         self.bytes_per_cycle = bytes_per_cycle
         self.busy_until = 0
         self.stats = stats.child(f"dram{controller_id}")
+        self._cnt = self.stats._counters
 
     # Checkpoint support (repro.engine.checkpoint): the queue clock is the
     # only per-run mutable field outside the stats tree.
@@ -56,10 +57,11 @@ class DramController:
         self.busy_until = start + service
         completion = start + service + self.access_latency
         queue_delay = start - now
-        self.stats.add("accesses")
-        self.stats.add("bytes", n_bytes)
-        self.stats.add("queue_cycles", queue_delay)
-        self.stats.add("busy_cycles", service)
+        cnt = self._cnt
+        cnt["accesses"] += 1
+        cnt["bytes"] += n_bytes
+        cnt["queue_cycles"] += queue_delay
+        cnt["busy_cycles"] += service
         if self.tracer.enabled:
             self.tracer.dram_sample(self.controller_id, now, queue_delay)
         return completion - now

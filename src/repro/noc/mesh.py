@@ -10,13 +10,22 @@ The model is analytic: a message's latency is per-hop router+channel delay
 plus body-flit serialization.  Link-level contention is not simulated
 flit-by-flit (endpoint contention is modeled at L2 banks and DRAM
 controllers instead); injected bytes and byte-hops are accounted exactly.
+
+Routes are fixed, so hop counts are tabulated once: ``core_hops`` (core x
+core, built here) and :meth:`Mesh.bank_hops` (core x bank, built by the
+L2 for its bank count).  Hot callers — the L2 and the ULI network — index
+those tables, and :meth:`Mesh.latency_table` applied to them, instead of
+recomputing positions, hops and latency per message; every entry comes
+from :meth:`Mesh.wire_latency`, the one latency formula.  Fault-injected
+NoC jitter is not part of a table: callers draw it per message, at the
+same points :meth:`Mesh.latency` would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 Position = Tuple[int, int]
 
@@ -42,6 +51,11 @@ class Mesh:
         self.config = config
         self.rows = config.rows
         self.cols = config.cols
+        positions = [self.core_position(c) for c in range(self.rows * self.cols)]
+        #: Hop count of the XY route between two cores, ``[src][dst]``.
+        self.core_hops: List[List[int]] = [
+            [self.hops(a, b) for b in positions] for a in positions
+        ]
 
     # ------------------------------------------------------------------
     # Placement
@@ -75,6 +89,15 @@ class Mesh:
         col = bank_id * self.cols // n_banks
         return (self.rows, col)
 
+    def bank_hops(self, n_banks: int) -> List[List[int]]:
+        """Hop count of the XY route between each core and each of
+        ``n_banks`` L2 banks, ``[core][bank]`` (routes are symmetric)."""
+        banks = [self.bank_position(b, n_banks) for b in range(n_banks)]
+        return [
+            [self.hops(self.core_position(c), bank) for bank in banks]
+            for c in range(self.rows * self.cols)
+        ]
+
     # ------------------------------------------------------------------
     # Latency / distance
     # ------------------------------------------------------------------
@@ -84,14 +107,23 @@ class Mesh:
             return 0
         return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
-    def latency(self, a: Position, b: Position, n_bytes: int) -> int:
-        """End-to-end latency in cycles of an ``n_bytes`` message a -> b."""
-        hop_count = self.hops(a, b)
+    def wire_latency(self, hop_count: int, n_bytes: int) -> int:
+        """Fault-free latency in cycles of an ``n_bytes`` message over
+        ``hop_count`` hops: the mesh's one latency formula."""
         cfg = self.config
         per_hop = cfg.router_latency + cfg.channel_latency
         flits = max(1, math.ceil(n_bytes / cfg.flit_bytes))
         # Head flit pays per-hop latency; body flits pipeline behind it.
-        latency = hop_count * per_hop + (flits - 1)
+        return hop_count * per_hop + (flits - 1)
+
+    def latency_table(self, hop_table: List[List[int]], n_bytes: int) -> List[List[int]]:
+        """:meth:`wire_latency` of ``n_bytes`` applied to every entry of a
+        hop table (``core_hops`` or a :meth:`bank_hops` table)."""
+        return [[self.wire_latency(h, n_bytes) for h in row] for row in hop_table]
+
+    def latency(self, a: Position, b: Position, n_bytes: int) -> int:
+        """End-to-end latency in cycles of an ``n_bytes`` message a -> b."""
+        latency = self.wire_latency(self.hops(a, b), n_bytes)
         if self.fault_injector is not None:
             latency += self.fault_injector.noc_extra()
         return latency

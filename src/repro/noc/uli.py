@@ -11,10 +11,10 @@ semantics (enable/disable, handler execution, ACK/NACK) live in
 ``repro.cores.uli_unit``; this class is purely the wires.
 
 Checkpointing note: a message "in flight" on this network exists only as
-a pending delivery event on the simulator heap (``deliver_uli_request`` /
+a pending delivery event in the simulator's calendar (``deliver_uli_request`` /
 ``deliver_uli_response`` partials scheduled ``send_latency()`` cycles
 out).  ``repro.engine.checkpoint`` therefore snapshots in-flight ULI
-traffic as heap-event descriptors (``uli_req`` / ``uli_resp`` with their
+traffic as event descriptors (``uli_req`` / ``uli_resp`` with their
 victim/thief operands and due times) rather than anything held here —
 this class is stateless apart from its counters, which are captured with
 the rest of the stats tree.
@@ -43,19 +43,26 @@ class UliNetwork:
         self.sim = sim
         self.tracer = tracer
         self._tracing = tracer.enabled and sim is not None
+        self._cnt = self.stats._counters
+        # Route tables, [src_core][dst_core]: hop counts and the fault-free
+        # latency of one ULI message.
+        self._hops = mesh.core_hops
+        self._latency = mesh.latency_table(mesh.core_hops, ULI_MESSAGE_BYTES)
 
     def send_latency(self, src_core: int, dst_core: int) -> int:
         """Latency in cycles for one ULI message between two cores."""
-        a = self.mesh.core_position(src_core)
-        b = self.mesh.core_position(dst_core)
-        latency = self.mesh.latency(a, b, ULI_MESSAGE_BYTES)
+        latency = self._latency[src_core][dst_core]
+        # Fault jitter is drawn as a data-mesh message's would be, NoC
+        # jitter first, then the ULI-specific delay.
+        if self.mesh.fault_injector is not None:
+            latency += self.mesh.fault_injector.noc_extra()
         if self.fault_injector is not None:
             latency += self.fault_injector.uli_extra(src_core, dst_core)
-        hops = self.mesh.hops(a, b)
-        self.stats.add("messages")
-        self.stats.add("total_hops", hops)
-        self.stats.add("total_latency", latency)
-        self.stats.add("bytes", ULI_MESSAGE_BYTES)
+        cnt = self._cnt
+        cnt["messages"] += 1
+        cnt["total_hops"] += self._hops[src_core][dst_core]
+        cnt["total_latency"] += latency
+        cnt["bytes"] += ULI_MESSAGE_BYTES
         if self._tracing:
             self.tracer.uli_message(src_core, dst_core, self.sim.now, latency)
         return latency

@@ -20,7 +20,7 @@ label                  what it covers
 ``noc.uli``            ULI network latency computation
 ``trace.tracer``       tracer emission (only when a real tracer is wired)
 ``sanitize.walk``      coherence-sanitizer walks
-``engine.loop``        everything not measured directly: heap push/pop,
+``engine.loop``        everything not measured directly: event calendar,
                        event dispatch, the fusion test, Python interpreter
                        overhead between probes (computed as residual)
 =====================  ====================================================

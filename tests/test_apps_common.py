@@ -45,8 +45,8 @@ class TestSimArray:
         ctxs = machine.make_contexts()
 
         def body(ctx):
-            value = yield from arr.load(ctx, 2)
-            yield from arr.store(ctx, 3, value + 1)
+            value = yield arr.load(ctx, 2)
+            yield arr.store(ctx, 3, value + 1)
             return value
 
         assert drive(machine, 1, body(ctxs[1])) == 7
@@ -58,8 +58,8 @@ class TestSimArray:
         ctxs = machine.make_contexts()
 
         def body(ctx):
-            old = yield from arr.amo(ctx, "add", 0, 5)
-            cas_old = yield from arr.cas(ctx, 1, 0, 99)
+            old = yield arr.amo(ctx, "add", 0, 5)
+            cas_old = yield arr.cas(ctx, 1, 0, 99)
             return old, cas_old
 
         assert drive(machine, 1, body(ctxs[1])) == (10, 0)
@@ -126,7 +126,7 @@ class TestSimGraph:
                 start, end = yield from sim_graph.edge_range(ctx, v)
                 nbrs = []
                 for e in range(start, end):
-                    target = yield from sim_graph.edge_target(ctx, e)
+                    target = yield sim_graph.edge_target(ctx, e)
                     weight = yield from sim_graph.edge_weight(ctx, e)
                     assert weight >= 1
                     nbrs.append(target)

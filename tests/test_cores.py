@@ -63,6 +63,39 @@ class TestTinyCoreExecution:
         assert breakdown["store"] >= 1
         assert sum(breakdown.values()) == machine.sim.now
 
+    def test_non_positive_work_and_idle_are_free_and_no_op_boundary(self):
+        """``ctx.work``/``ctx.idle`` with n <= 0 yield None: the core sends
+        None straight back, costing no cycles, counting nothing, and not
+        taking a pending ULI (which enters only at op boundaries)."""
+        machine, _ = make()
+        core = machine.cores[1]
+        ctx = machine.make_contexts()[1]
+        entered = []
+
+        def handler(thief):
+            entered.append(thief)
+            yield ctx.work(1)
+
+        core.uli_handler_factory = handler
+        seen = []
+
+        def thread():
+            yield ctx.uli_enable()
+            yield ctx.work(3)
+            now = machine.sim.now
+            counters = dict(core.stats._counters)
+            core._pending_uli = 2  # would enter at the next op boundary
+            seen.append((yield ctx.work(0)))
+            seen.append((yield ctx.idle(0)))
+            seen.append((yield ctx.work(-4)))
+            core._pending_uli = None
+            seen.append(machine.sim.now == now)
+            seen.append(dict(core.stats._counters) == counters)
+
+        run_thread(machine, 1, thread())
+        assert seen == [None, None, None, True, True]
+        assert entered == []
+
     def test_busy_excludes_idle(self):
         machine, _ = make()
 

@@ -24,7 +24,7 @@ class TestDenseFrontier:
         results = []
 
         def body():
-            yield from frontier.add(ctx, 3)
+            yield frontier.add(ctx, 3)
             results.append((yield from frontier.test_and_clear(ctx, 3)))
             results.append((yield from frontier.test_and_clear(ctx, 3)))
             results.append((yield from frontier.test_and_clear(ctx, 5)))
@@ -39,13 +39,13 @@ class TestDenseFrontier:
         sizes = []
 
         def body():
-            yield from frontier.reset_size(ctx)
+            yield frontier.reset_size(ctx)
             yield from frontier.add_size(ctx, 3)
             yield from frontier.add_size(ctx, 0)  # no-op
             yield from frontier.add_size(ctx, 2)
-            sizes.append((yield from frontier.read_size(ctx)))
-            yield from frontier.reset_size(ctx)
-            sizes.append((yield from frontier.read_size(ctx)))
+            sizes.append((yield frontier.read_size(ctx)))
+            yield frontier.reset_size(ctx)
+            sizes.append((yield frontier.read_size(ctx)))
 
         drive(machine, 1, body())
         assert sizes == [5, 0]
@@ -60,7 +60,7 @@ class TestVertexMap:
         class Root(Task):
             def execute(self, rt, ctx):
                 def functor(ctx, v):
-                    yield from ctx.store(out + v * 8, v * v)
+                    yield ctx.store(out + v * 8, v * v)
 
                 yield from vertex_map(rt, ctx, 10, functor, grain=3)
 

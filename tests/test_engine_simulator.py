@@ -340,3 +340,66 @@ def test_fusion_stats_accounting():
     assert stats["events_fused"] == 1
     assert stats["events_total"] == 3
     assert stats["fused_ratio"] == pytest.approx(1 / 3)
+
+
+# ----------------------------------------------------------------------
+# Per-cycle event calendar
+# ----------------------------------------------------------------------
+
+def test_event_scheduled_at_now_runs_after_queued_same_cycle_events():
+    sim = Simulator()
+    order = []
+
+    def first():
+        order.append("first")
+        sim.schedule(0, lambda: order.append("scheduled-at-now"))
+
+    sim.schedule(5, first)
+    sim.schedule(5, lambda: order.append("second"))
+    sim.schedule(5, lambda: order.append("third"))
+    sim.schedule(6, lambda: order.append("next-cycle"))
+    sim.run()
+    assert order == ["first", "second", "third", "scheduled-at-now", "next-cycle"]
+
+
+def test_daemon_event_runs_before_regular_event_of_the_same_cycle():
+    sim = Simulator()
+    order = []
+    sim.schedule(5, lambda: order.append("regular"))
+    sim.schedule(5, lambda: order.append("daemon"), daemon=True)
+    sim.run()
+    assert order == ["daemon", "regular"]
+
+
+def test_pending_events_counts_events_inside_cycle_lists():
+    sim = Simulator()
+    for _ in range(3):
+        sim.schedule(4, lambda: None)
+    sim.schedule(9, lambda: None)
+    sim.schedule(9, lambda: None, daemon=True)
+    assert sim.pending_events == 4
+    sim.schedule(1, sim.stop)
+    sim.run()
+    assert sim.pending_events == 4
+    sim.run()
+    assert sim.pending_events == 0
+
+
+def test_checkpoint_round_trip_preserves_same_cycle_order():
+    sim = Simulator()
+    order = []
+    for tag in ("a", "b", "c", "d"):
+        sim.schedule(7, lambda t=tag: order.append(t))
+    sim.schedule(3, lambda: order.append("early"))
+    state = sim.export_state()
+    assert [(time, seq) for time, seq, _ in state["queue"]] == [
+        (3, 0), (7, 1), (7, 2), (7, 3), (7, 4),
+    ]
+
+    restored = Simulator()
+    # Entries may arrive in any order; (time, seq) decides the run order.
+    restored.load_state(state, reversed(state["queue"]))
+    assert restored.pending_events == 5
+    restored.run()
+    assert order == ["early", "a", "b", "c", "d"]
+    assert restored.now == 7

@@ -1,13 +1,22 @@
-"""Examples stay importable/compilable (full runs are exercised manually)."""
+"""Examples stay compilable, and the two quick ones run end to end.
 
+The remaining examples take minutes and are exercised manually.
+"""
+
+import os
 import pathlib
 import py_compile
+import subprocess
+import sys
 
 import pytest
 
-EXAMPLES = sorted(
-    (pathlib.Path(__file__).resolve().parent.parent / "examples").glob("*.py")
-)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
+
+#: Examples fast enough to run in tier-1 (about a second each); both
+#: assert their own simulated results.
+RUNNABLE = ("quickstart.py", "custom_application.py")
 
 
 def test_examples_exist():
@@ -26,3 +35,17 @@ def test_example_has_main_guard_and_docstring(path):
     source = path.read_text()
     assert '__main__' in source
     assert source.lstrip().startswith(('#!/usr/bin/env python\n"""', '"""'))
+
+
+@pytest.mark.parametrize("name", RUNNABLE)
+def test_example_runs(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "examples" / name)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

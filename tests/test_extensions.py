@@ -28,16 +28,16 @@ class FibTask(Task):
 
     def execute(self, rt, ctx):
         if self.n < 2:
-            yield from ctx.store(self.out_addr, self.n)
+            yield ctx.store(self.out_addr, self.n)
             return
         scratch = rt.machine.address_space.alloc_words(2, "s")
         yield from rt.fork_join(
             ctx, self,
             [FibTask(self.n - 1, scratch), FibTask(self.n - 2, scratch + WORD_BYTES)],
         )
-        x = yield from ctx.load(scratch)
-        y = yield from ctx.load(scratch + WORD_BYTES)
-        yield from ctx.store(self.out_addr, x + y)
+        x = yield ctx.load(scratch)
+        y = yield ctx.load(scratch + WORD_BYTES)
+        yield ctx.store(self.out_addr, x + y)
 
 
 def drive(machine, core_id, gen):
@@ -105,13 +105,13 @@ class TestChaseLevDeque:
         def owner(ctx):
             for task_id in range(1, 33):
                 yield from dq.push(ctx, task_id)
-                yield from ctx.work(3)
+                yield ctx.work(3)
             while True:
                 got = yield from dq.take(ctx)
                 if not got:
                     break
-                yield from ctx.amo_add(claimed_addr + (got - 1) * 8, 1)
-                yield from ctx.work(5)
+                yield ctx.amo_add(claimed_addr + (got - 1) * 8, 1)
+                yield ctx.work(5)
 
         def thief(ctx):
             misses = 0
@@ -119,11 +119,11 @@ class TestChaseLevDeque:
                 got = yield from dq.steal(ctx)
                 if got:
                     misses = 0
-                    yield from ctx.amo_add(claimed_addr + (got - 1) * 8, 1)
-                    yield from ctx.work(5)
+                    yield ctx.amo_add(claimed_addr + (got - 1) * 8, 1)
+                    yield ctx.work(5)
                 else:
                     misses += 1
-                    yield from ctx.idle(7)
+                    yield ctx.idle(7)
 
         machine.cores[1].start(owner(ctxs[1]))
         machine.cores[2].start(thief(ctxs[2]))
@@ -151,7 +151,7 @@ class TestChaseLevDeque:
 
         def owner(ctx):
             yield from dq.push(ctx, 7)
-            yield from ctx.work(2)  # window for the thief to move in
+            yield ctx.work(2)  # window for the thief to move in
             got["owner"] = yield from dq.take(ctx)
 
         def thief(ctx):
@@ -160,7 +160,7 @@ class TestChaseLevDeque:
                 if task_id:
                     got["thief"] = task_id
                     return
-                yield from ctx.idle(3)
+                yield ctx.idle(3)
             got["thief"] = 0
 
         machine.cores[1].start(owner(ctxs[1]))

@@ -111,7 +111,7 @@ def _fib_run(kind, faults=None, **rt_kwargs):
 
         def execute(self, rt, ctx):
             if self.n < 2:
-                yield from ctx.store(self.out_addr, self.n)
+                yield ctx.store(self.out_addr, self.n)
                 return
             scratch = rt.machine.address_space.alloc_words(2, "fib_scratch")
             children = [
@@ -119,9 +119,9 @@ def _fib_run(kind, faults=None, **rt_kwargs):
                 FibTask(self.n - 2, scratch + WORD_BYTES),
             ]
             yield from rt.fork_join(ctx, self, children)
-            x = yield from ctx.load(scratch)
-            y = yield from ctx.load(scratch + WORD_BYTES)
-            yield from ctx.store(self.out_addr, x + y)
+            x = yield ctx.load(scratch)
+            y = yield ctx.load(scratch + WORD_BYTES)
+            yield ctx.store(self.out_addr, x + y)
 
     machine = tiny_machine(kind, faults=faults)
     rt = WorkStealingRuntime(machine, **rt_kwargs)

@@ -19,7 +19,7 @@ class _PforRoot(Task):
     def execute(self, rt, ctx):
         def body(rt, ctx, lo, hi):
             for i in range(lo, hi):
-                old = yield from ctx.amo_add(self.out_base + i * 8, 1)
+                old = yield ctx.amo_add(self.out_base + i * 8, 1)
                 assert old == 0  # each index visited exactly once
 
         yield from parallel_for(rt, ctx, 0, self.n, body, self.grain)
@@ -60,7 +60,7 @@ class TestParallelInvoke:
 
         def make_body(i):
             def body(rt, ctx):
-                yield from ctx.store(out + i * 8, i + 1)
+                yield ctx.store(out + i * 8, i + 1)
 
             return body
 
@@ -80,7 +80,7 @@ class TestParallelInvoke:
         class Root(Task):
             def execute(self, rt, ctx):
                 yield from parallel_invoke(rt, ctx)
-                yield from ctx.work(1)
+                yield ctx.work(1)
 
         rt.run(Root())  # completes without error
 
@@ -91,7 +91,7 @@ class TestParallelInvoke:
         machine.host_write_word(counter, 0)
 
         def leaf(rt, ctx):
-            yield from ctx.amo_add(counter, 1)
+            yield ctx.amo_add(counter, 1)
 
         def inner(rt, ctx):
             yield from parallel_invoke(rt, ctx, leaf, leaf)
@@ -111,7 +111,7 @@ class TestFuncTask:
         out = machine.address_space.alloc_words(1, "out")
 
         def body(rt, ctx):
-            yield from ctx.store(out, 42)
+            yield ctx.store(out, 42)
 
         class Root(Task):
             def execute(self, rt, ctx):

@@ -25,14 +25,14 @@ class FibTask(Task):
 
     def execute(self, rt, ctx):
         if self.n < 2:
-            yield from ctx.store(self.out_addr, self.n)
+            yield ctx.store(self.out_addr, self.n)
             return
         scratch = rt.machine.address_space.alloc_words(2, "fib_scratch")
         children = [FibTask(self.n - 1, scratch), FibTask(self.n - 2, scratch + WORD_BYTES)]
         yield from rt.fork_join(ctx, self, children)
-        x = yield from ctx.load(scratch)
-        y = yield from ctx.load(scratch + WORD_BYTES)
-        yield from ctx.store(self.out_addr, x + y)
+        x = yield ctx.load(scratch)
+        y = yield ctx.load(scratch + WORD_BYTES)
+        yield ctx.store(self.out_addr, x + y)
 
 
 def run_fib(kind, n=9, **rt_kwargs):

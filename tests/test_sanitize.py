@@ -23,7 +23,7 @@ class FibTask(Task):
 
     def execute(self, rt, ctx):
         if self.n < 2:
-            yield from ctx.store(self.out_addr, self.n)
+            yield ctx.store(self.out_addr, self.n)
             return
         scratch = rt.machine.address_space.alloc_words(2, "fib_scratch")
         children = [
@@ -31,9 +31,9 @@ class FibTask(Task):
             FibTask(self.n - 2, scratch + WORD_BYTES),
         ]
         yield from rt.fork_join(ctx, self, children)
-        x = yield from ctx.load(scratch)
-        y = yield from ctx.load(scratch + WORD_BYTES)
-        yield from ctx.store(self.out_addr, x + y)
+        x = yield ctx.load(scratch)
+        y = yield ctx.load(scratch + WORD_BYTES)
+        yield ctx.store(self.out_addr, x + y)
 
 
 def _fib(kind, n=9, sanitize=True, **rt_kwargs):

@@ -147,12 +147,12 @@ class TestDequeLock:
                 # acquire, flush before release.
                 for _ in range(10):
                     yield from dq.lock_acquire(ctx)
-                    yield from ctx.cache_invalidate()
-                    value = yield from ctx.load(shared)
-                    yield from ctx.work(5)  # widen the race window
-                    yield from ctx.store(shared, value + 1)
-                    yield from ctx.cache_flush()
-                    yield from dq.lock_release(ctx)
+                    yield ctx.cache_invalidate()
+                    value = yield ctx.load(shared)
+                    yield ctx.work(5)  # widen the race window
+                    yield ctx.store(shared, value + 1)
+                    yield ctx.cache_flush()
+                    yield dq.lock_release(ctx)
                 trace.append(tid)
 
             machine.cores[1].start(worker(ctxs[1], 1))
@@ -168,15 +168,15 @@ class TestDequeLock:
 
         def holder(ctx):
             yield from dq.lock_acquire(ctx)
-            yield from ctx.work(200)
+            yield ctx.work(200)
             order.append("release")
-            yield from dq.lock_release(ctx)
+            yield dq.lock_release(ctx)
 
         def contender(ctx):
-            yield from ctx.idle(10)
+            yield ctx.idle(10)
             yield from dq.lock_acquire(ctx)
             order.append("acquired")
-            yield from dq.lock_release(ctx)
+            yield dq.lock_release(ctx)
 
         machine.cores[1].start(holder(ctxs[1]))
         machine.cores[2].start(contender(ctxs[2]))
