@@ -479,23 +479,13 @@ def _cmd_submit(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from repro.obs.profile import (
-        format_profile,
-        run_profile,
-        write_chrome_trace,
-        write_profile,
-    )
+    from repro.obs.profile import format_profile, run_profile, write_profile
 
     payload = run_profile(repeats=args.repeats, quick=args.quick)
     print(format_profile(payload))
     if args.out:
         write_profile(payload, args.out)
         print(f"profile written: {args.out}", file=sys.stderr)
-    if args.trace:
-        write_chrome_trace(payload, args.trace)
-        print(f"trace written  : {args.trace} "
-              "(load in https://ui.perfetto.dev or chrome://tracing)",
-              file=sys.stderr)
     return 0
 
 
@@ -914,9 +904,9 @@ def main(argv=None) -> int:
 
     profile_parser = sub.add_parser(
         "profile",
-        help="profile the simulator itself: wall-clock attribution per op "
-             "kind and component (coroutines, L1/L2/DRAM, NoC, event loop) "
-             "over the perf mix")
+        help="profile the simulator itself: sampled share of host time per "
+             "layer (core trampoline, L1/L2/DRAM, NoC, event loop, runtime, "
+             "apps) over the perf mix")
     profile_parser.add_argument(
         "--quick", action="store_true",
         help="profile the small CI smoke mix instead of the full default mix")
@@ -925,10 +915,7 @@ def main(argv=None) -> int:
         help="runs per mix entry (default: 1)")
     profile_parser.add_argument(
         "--out", default=None, metavar="FILE",
-        help="write the attribution payload as JSON")
-    profile_parser.add_argument(
-        "--trace", default=None, metavar="FILE",
-        help="write a Chrome-trace flamegraph-style view of the attribution")
+        help="write the per-layer samples, shares and standard errors as JSON")
 
     report_parser = sub.add_parser(
         "report",

@@ -115,7 +115,6 @@ class Core:
         "_cnt",
         "_c_uli_handler",
         "_ckpt_log",
-        "_prof",
         "_ff",
     )
 
@@ -209,13 +208,6 @@ class Core:
         #: None (the default) costs the hot loop one branch per operation.
         self._ckpt_log: Optional[List] = None
 
-        #: Wall-clock profiler (repro.obs.profile.WallProfiler) armed by
-        #: EngineProfiler.install.  None (the default) costs one branch per
-        #: trampoline entry; when set, _resume redirects to the probed
-        #: twin.  Simulated results are identical either way — only host
-        #: time is observed.
-        self._prof = None
-
         #: Functional fast-forward state (repro.sampling.FastForwardState)
         #: armed by the sampling controller between detailed windows.  None
         #: (the default) costs one branch per trampoline entry; when set,
@@ -272,8 +264,6 @@ class Core:
                 return
         if self._ff is not None:
             return self._resume_ff(value)
-        if self._prof is not None:
-            return self._resume_profiled(value)
         frames = self._frames
         sim = self.sim
         table = self._dispatch_table
@@ -360,115 +350,6 @@ class Core:
             if fused:
                 sim.events_fused += fused
 
-    def _resume_profiled(self, value: Any = _PENDING) -> None:
-        """Probed twin of :meth:`_resume` (repro.obs.profile).
-
-        Identical control flow — every branch below mirrors ``_resume``
-        line for line so simulated outcomes cannot diverge — with wall
-        probes around the two time sinks: ``frame.send`` (app/runtime
-        generator code) and the ``_op_*`` dispatch body.  Kept separate so
-        the unprofiled loop pays a single ``_prof is not None`` branch.
-        """
-        if value is _PENDING:
-            value = self._pending_result
-            self._pending_result = None
-            if (
-                self._pending_uli is not None
-                and self.uli_enabled
-                and not self._in_handler
-            ):
-                self._resume_stack.append(value)
-                self._enter_handler()
-                return
-        prof = self._prof
-        enter = prof.enter
-        leave = prof.exit
-        frames = self._frames
-        sim = self.sim
-        table = self._dispatch_table
-        cycles = sim._cycles
-        calendar = sim._calendar
-        daemon_queue = sim._daemon_queue
-        max_cycles = sim.max_cycles
-        fusible = sim._fusible
-        log = self._ckpt_log
-        cid = self.core_id
-        fused = 0
-        frame = frames[-1]
-        try:
-            while True:
-                try:
-                    if log is not None:
-                        log.append((cid, value))
-                    enter("runtime.coroutine")
-                    try:
-                        op = frame.send(value)
-                    finally:
-                        leave()
-                except StopIteration:
-                    frames.pop()
-                    if self._in_handler and frames:
-                        saved = self._finish_handler()
-                        if saved is _NO_RESULT:
-                            return
-                        value = saved
-                        frame = frames[-1]
-                        continue
-                    if not frames:
-                        self.halted = True
-                    return
-                try:
-                    fn = table[op.KIND]
-                except AttributeError:
-                    if op is None:
-                        value = None
-                        continue
-                    raise SimulationError(f"thread yielded {op!r}, not an op") from None
-                except KeyError:
-                    raise SimulationError(f"unknown op kind {op.KIND!r}") from None
-                enter(prof.op_label(op.KIND))
-                try:
-                    out = fn(op)
-                finally:
-                    leave()
-                if out is None:
-                    return
-                value, latency = out
-                if self._in_handler:
-                    self._c_uli_handler.add(latency)
-                completion = sim.now + latency
-                if (
-                    fusible
-                    and completion <= max_cycles
-                    and not sim._stop_requested
-                    and (not cycles or cycles[0] > completion)
-                    and (not daemon_queue or daemon_queue[0][0] > completion)
-                ):
-                    sim.now = completion
-                    fused += 1
-                    if (
-                        self._pending_uli is not None
-                        and self.uli_enabled
-                        and not self._in_handler
-                    ):
-                        self._resume_stack.append(value)
-                        self._enter_handler()
-                        return
-                    continue
-                self._pending_result = value
-                # Simulator.schedule_at inlined: join the completion
-                # cycle's FIFO list, pushing the cycle if it is new.
-                bucket = calendar.get(completion)
-                if bucket is None:
-                    calendar[completion] = [self._complete_cont]
-                    heappush(cycles, completion)
-                else:
-                    bucket.append(self._complete_cont)
-                return
-        finally:
-            if fused:
-                sim.events_fused += fused
-
     def _resume_ff(self, value: Any) -> None:
         """Functional fast-forward trampoline (repro.sampling).
 
@@ -522,9 +403,6 @@ class Core:
         spin = 0
         charged = 0.0
         idle_cycles = 0
-        prof = self._prof
-        if prof is not None:
-            prof.enter("engine.fastforward")
         frame = frames[-1]
         try:
             while True:
@@ -673,8 +551,6 @@ class Core:
                 if spin:
                     cnt["instructions_spin"] += spin
                 ff.consume(executed)
-            if prof is not None:
-                prof.exit()
 
     def _charge_memory(self, latency: int) -> int:
         """Scale exposed memory latency for big cores (MLP overlap)."""

@@ -10,9 +10,10 @@ durable record of *past* work:
   writes an atomic JSON progress snapshot per run; ``repro top`` tails a
   directory of them as a live top-style view of a running simulation or
   sweep.  Instrumented runs stay cycle-identical to bare runs.
-* :mod:`repro.obs.profile` — lightweight wall-clock attribution inside the
-  engine hot loop (per op kind and per component: coroutines, L1/L2/DRAM,
-  NoC, event loop), off by default, driven by ``repro profile``.
+* :mod:`repro.obs.profile` — a statistical sampler (SIGPROF plus a frame
+  walk) that attributes host time to simulator layers (core trampoline,
+  L1/L2/DRAM, NoC, event loop, runtime, apps) with a standard error per
+  share, driven by ``repro profile``; the hot loop carries no probes.
 * :mod:`repro.obs.ledger` — every ``run_experiment`` appends one
   machine-readable manifest line (keys, seeds, lineage, wall time, host
   fingerprint, outcome) to a JSONL ledger; ``repro report`` aggregates it.
@@ -20,7 +21,7 @@ durable record of *past* work:
   with JSONL/CSV/Prometheus-textfile exporters, decoupling the interval
   sampler from the tracer.
 
-All three data producers (heartbeat, profiler, ledger) are **off by
+All three data producers (heartbeat, sampler, ledger) are **off by
 default** and none participates in result identity: an observed run is
 byte-identical to a bare one.
 """
@@ -58,7 +59,7 @@ from repro.obs.metrics import (  # noqa: E402
     samples_to_jsonl,
     write_prometheus_textfile,
 )
-from repro.obs.profile import EngineProfiler, WallProfiler  # noqa: E402
+from repro.obs.profile import LayerSampler  # noqa: E402
 
 __all__ = [
     "host_fingerprint",
@@ -72,6 +73,5 @@ __all__ = [
     "prometheus_lines",
     "samples_to_jsonl",
     "write_prometheus_textfile",
-    "EngineProfiler",
-    "WallProfiler",
+    "LayerSampler",
 ]

@@ -1,251 +1,183 @@
-"""Engine self-profiling: wall-clock attribution for the hot loop.
+"""Engine self-profiling: a statistical sampler of host time per layer.
 
-The engine floor (~0.4 µs/op on the perf mix) cannot be attacked blind:
-"the simulator is slow" is not actionable, "38% of wall time is inside
-``frame.send`` and 22% inside the L2 directory" is.  This module measures
-where *host* wall-clock time goes during a simulation, per architectural
-op kind and per component:
+The engine floor cannot be attacked blind: "the simulator is slow" is
+not actionable, "29% of samples land in the core trampoline and 14% in
+the L2 directory" is.  This module measures where *host* time goes
+during a simulation without touching the hot loop: while armed,
+``setitimer(ITIMER_PROF)`` delivers SIGPROF every :data:`INTERVAL_S` of
+process CPU time, and the handler walks the interrupted frame stack.
+The innermost frame in the ``repro`` package names the layer the sample
+counts toward:
 
-=====================  ====================================================
-label                  what it covers
-=====================  ====================================================
-``runtime.coroutine``  ``frame.send`` — app/runtime generator code between
-                       yields (the paper's "software" side)
-``op.<kind>``          the ``_op_*`` dispatch body for each op kind,
-                       exclusive of the memory system underneath
-``mem.l1``             L1 load/store/AMO/flush/invalidate, exclusive of L2
-``mem.l2``             shared-L2 directory + bank operations, exclusive of
-                       DRAM
-``mem.dram``           DRAM controller accesses
-``noc.uli``            ULI network latency computation
-``trace.tracer``       tracer emission (only when a real tracer is wired)
-``sanitize.walk``      coherence-sanitizer walks
-``engine.loop``        everything not measured directly: event calendar,
-                       event dispatch, the fusion test, Python interpreter
-                       overhead between probes (computed as residual)
-=====================  ====================================================
+=======================  ==================================================
+layer                    frames
+=======================  ==================================================
+``core.trampoline``      ``cores/core.py`` outside the two below: the
+                         ``_resume`` loop, ULI handler entry and exit
+``core.ops``             ``Core._op_*`` dispatch bodies, plus the op
+                         objects and thread context in ``cores/``
+``engine.fastforward``   ``Core._resume_ff`` and ``sampling/``
+``engine.loop``          ``engine/simulator.py`` and the other engine
+                         daemons (watchdog, checkpointing)
+``engine.rng``           ``engine/rng.py``
+``engine.stats``         ``engine/stats.py``
+``mem.l1``               ``mem/l1/`` protocols
+``mem.l2``               ``mem/l2.py`` directory and banks
+``mem.dram``             ``mem/dram.py``
+``mem.other``            the rest of ``mem/``: tag arrays, backing store,
+                         AMO helper, traffic counters
+``noc.mesh``             ``noc/mesh.py``
+``noc.uli``              ``noc/uli.py``
+``runtime``              the work-stealing runtime (``core/``)
+``apps``                 application code (``apps/``)
+``machine.build``        ``machine.py``
+``harness``              any other ``repro`` code (driver, configuration)
+``host``                 no ``repro`` frame on the stack
+=======================  ==================================================
 
-Attribution is **exclusive**: :class:`WallProfiler` keeps an enter/exit
-stack and charges elapsed time to the label on top, so nested probes
-(``op.load`` → ``mem.l1`` → ``mem.l2`` → ``mem.dram``) split one op's wall
-time across the layers that actually spent it.
+Names match ``perfbench/layers.py`` wherever that layer exists there.
+Each layer's share carries the binomial standard error
+``sqrt(p(1-p)/n)`` over ``n`` samples.  The kernel rounds the requested
+interval up to its timer tick (a 1 ms request gives about 250 Hz on a
+4 ms-tick kernel), so the report counts samples and never assumes a rate.
 
-Cost model: profiling is **off by default** and gated per core by the
-``Core._prof`` slot — a bare run pays exactly one ``is not None`` test per
-trampoline entry (<3% on the perf mix, enforced by the wall-clock bench).
-When on, every op pays a few ``perf_counter`` calls; simulated results are
-bit-identical either way, only host time changes
-(``tests/test_determinism.py`` asserts this).
-
-``repro profile`` drives :func:`run_profile` over the perf mix and renders
-:func:`format_profile`; ``--trace`` additionally writes a Chrome-trace
-JSON (:func:`chrome_trace`) that catapult / Perfetto render as a
-flamegraph-style timeline.
+Sampling observes only host time: the simulation never sees the handler,
+so sampled runs are bit-identical to bare ones
+(``tests/test_determinism.py``).  ``signal.signal`` only works on the
+main thread, so the sampler is armed by ``repro profile`` and not by
+``run_experiment``.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
+import signal
 import time
-from collections import defaultdict
-from typing import Dict, List, Optional
+from collections import Counter
+from contextlib import contextmanager
 
-#: Components the acceptance criterion counts as "named": every label the
-#: profiler can emit, including the residual.
-RESIDUAL_LABEL = "engine.loop"
+import repro
+
+#: Requested SIGPROF interval in seconds of process CPU time.
+INTERVAL_S = 0.001
+
+#: Layer of a frame by its path under the package, first match wins.
+_PATH_LAYERS = (
+    ("cores/", "core.ops"),
+    ("sampling/", "engine.fastforward"),
+    ("engine/rng.py", "engine.rng"),
+    ("engine/stats.py", "engine.stats"),
+    ("engine/", "engine.loop"),
+    ("mem/l1/", "mem.l1"),
+    ("mem/l2.py", "mem.l2"),
+    ("mem/dram.py", "mem.dram"),
+    ("mem/", "mem.other"),
+    ("noc/mesh.py", "noc.mesh"),
+    ("noc/uli.py", "noc.uli"),
+    ("core/", "runtime"),
+    ("apps/", "apps"),
+    ("machine.py", "machine.build"),
+)
+HARNESS = "harness"
+HOST = "host"
+
+#: Every layer a sample can count toward.
+LAYERS = tuple(
+    dict.fromkeys(("core.trampoline", *(layer for _, layer in _PATH_LAYERS), HARNESS, HOST))
+)
+
+_ROOT = os.path.dirname(repro.__file__) + os.sep
 
 
-class WallProfiler:
-    """Exclusive wall-time attribution via an enter/exit label stack.
+def frame_layer(frame) -> str:
+    """The layer of the innermost ``repro`` frame on ``frame``'s stack."""
+    while frame is not None:
+        code = frame.f_code
+        path = code.co_filename
+        if path.startswith(_ROOT):
+            rel = path[len(_ROOT):]
+            if rel == "cores/core.py":
+                name = code.co_name
+                if name == "_resume_ff":
+                    return "engine.fastforward"
+                if not name.startswith("_op_"):
+                    return "core.trampoline"
+            for prefix, layer in _PATH_LAYERS:
+                if rel.startswith(prefix):
+                    return layer
+            return HARNESS
+        frame = frame.f_back
+    return HOST
 
-    ``enter(label)`` charges the elapsed slice to the current top-of-stack
-    label and pushes ``label``; ``exit()`` charges and pops.  Labels nest
-    arbitrarily; the sum over ``seconds`` equals the wall time spent
-    between the outermost enter and exit (minus probe overhead, which ends
-    up in the enclosing label).
-    """
 
-    __slots__ = ("seconds", "calls", "_stack", "op_labels")
+class LayerSampler:
+    """Counts SIGPROF samples per layer while :meth:`armed`."""
 
     def __init__(self):
-        self.seconds: Dict[str, float] = defaultdict(float)
-        self.calls: Dict[str, int] = defaultdict(int)
-        #: [label, timestamp-of-last-charge] pairs (lists: slot 1 mutates).
-        self._stack: List[list] = []
-        #: Interned "op.<kind>" strings so the hot loop never formats.
-        self.op_labels: Dict[str, str] = {}
+        self.samples: Counter = Counter()
 
-    def enter(self, label: str) -> None:
-        now = time.perf_counter()
-        stack = self._stack
-        if stack:
-            top = stack[-1]
-            self.seconds[top[0]] += now - top[1]
-        stack.append([label, now])
-        self.calls[label] += 1
+    def _on_sigprof(self, signum, frame) -> None:
+        self.samples[frame_layer(frame)] += 1
 
-    def exit(self) -> None:
-        now = time.perf_counter()
-        label, since = self._stack.pop()
-        self.seconds[label] += now - since
-        if self._stack:
-            self._stack[-1][1] = now
+    @contextmanager
+    def armed(self):
+        """Sample for the duration of the block (main thread only).
 
-    def op_label(self, kind: str) -> str:
-        label = self.op_labels.get(kind)
-        if label is None:
-            label = self.op_labels[kind] = f"op.{kind}"
-        return label
-
-    def wrap(self, obj, method_names, label: str) -> None:
-        """Instance-level wrap of bound methods, charging ``label``."""
-        for name in method_names:
-            fn = getattr(obj, name)
-            setattr(obj, name, _probe(self, label, fn))
-
-
-def _probe(prof: WallProfiler, label: str, fn):
-    def probed(*args, **kwargs):
-        prof.enter(label)
+        The previous SIGPROF handler and ``ITIMER_PROF`` value are
+        restored on exit, timer first so no tick can reach the restored
+        handler (SIGPROF's default action terminates the process).
+        """
+        previous = signal.signal(signal.SIGPROF, self._on_sigprof)
         try:
-            return fn(*args, **kwargs)
+            timer = signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
+            try:
+                yield self
+            finally:
+                signal.setitimer(signal.ITIMER_PROF, *timer)
         finally:
-            prof.exit()
-
-    return probed
+            signal.signal(signal.SIGPROF, previous)
 
 
-#: Methods wrapped per component.  These are the complete call surface the
-#: cores use; anything else (snoop paths) is invoked from within these and
-#: lands in the right bucket via nesting.
-_L1_METHODS = ("load", "store", "amo", "invalidate_all", "flush_all")
-_L2_METHODS = (
-    "fetch_shared",
-    "fetch_exclusive",
-    "upgrade",
-    "writeback_line",
-    "write_through_word",
-    "amo_word",
-    "read_word_bypass",
-    "eviction_notice",
-)
-_DRAM_METHODS = ("access",)
-_ULI_METHODS = ("send_latency",)
-_TRACER_METHODS = ("core_state", "push_state", "pop_state", "counter_sample")
-_SANITIZER_METHODS = ("check_now",)
-
-
-class EngineProfiler:
-    """Wires a :class:`WallProfiler` into one machine's hot paths.
-
-    ``install`` arms the per-core trampoline probe (``core._prof``) and
-    wraps the memory/NoC/tracer/sanitizer entry points as instance
-    attributes — the classes themselves are untouched, so a profiled
-    machine coexists with bare machines in one process.
-    """
-
-    def __init__(self, profiler: Optional[WallProfiler] = None):
-        self.wall = profiler if profiler is not None else WallProfiler()
-        #: Host seconds for the whole run (set by the driver around
-        #: ``runtime.run``); the residual is measured against this.
-        self.total_wall = 0.0
-
-    def install(self, machine) -> "EngineProfiler":
-        prof = self.wall
-        for core in machine.cores:
-            core._prof = prof
-        for l1 in machine.l1s:
-            prof.wrap(l1, _L1_METHODS, "mem.l1")
-        prof.wrap(machine.l2, _L2_METHODS, "mem.l2")
-        for dram in machine.l2.dram:
-            prof.wrap(dram, _DRAM_METHODS, "mem.dram")
-        if machine.uli_network is not None:
-            prof.wrap(machine.uli_network, _ULI_METHODS, "noc.uli")
-        if machine.tracer is not None and getattr(machine.tracer, "enabled", False):
-            prof.wrap(machine.tracer, _TRACER_METHODS, "trace.tracer")
-        if machine.sanitizer is not None:
-            prof.wrap(machine.sanitizer, _SANITIZER_METHODS, "sanitize.walk")
-        return self
-
-    # ------------------------------------------------------------------
-    # Results
-    # ------------------------------------------------------------------
-    def attribution(self) -> dict:
-        """Ranked attribution with the unmeasured residual made explicit."""
-        measured = dict(self.wall.seconds)
-        measured_total = sum(measured.values())
-        total = max(self.total_wall, measured_total)
-        residual = max(0.0, total - measured_total)
-        rows = [
-            {
-                "component": label,
-                "seconds": secs,
-                "calls": self.wall.calls.get(label, 0),
-                "share": secs / total if total > 0 else 0.0,
-            }
-            for label, secs in measured.items()
-        ]
+def attribution(samples: Counter) -> dict:
+    """Ranked per-layer shares with their binomial standard errors."""
+    n = sum(samples.values())
+    rows = []
+    for layer, count in samples.most_common():
+        p = count / n
         rows.append(
             {
-                "component": RESIDUAL_LABEL,
-                "seconds": residual,
-                "calls": 0,
-                "share": residual / total if total > 0 else 0.0,
+                "layer": layer,
+                "samples": count,
+                "share": p,
+                "stderr": math.sqrt(p * (1 - p) / n),
             }
         )
-        rows.sort(key=lambda r: r["seconds"], reverse=True)
-        return {
-            "total_wall_s": total,
-            "measured_wall_s": measured_total,
-            # Fraction of wall time attributed by direct probes (the
-            # residual bucket is named but not *measured*).
-            "coverage": measured_total / total if total > 0 else 0.0,
-            "components": rows,
-        }
+    return {"samples": n, "layers": rows}
 
 
 # ----------------------------------------------------------------------
 # The `repro profile` driver
 # ----------------------------------------------------------------------
-def profile_entry(entry, profiler: Optional[EngineProfiler] = None) -> EngineProfiler:
-    """Run one perf-mix entry under a profiled machine.
-
-    Mirrors ``repro.harness.perf._run_once`` (fresh machine, fusion on) so
-    the attribution describes the same workload the wall-clock bench
-    measures.  Passing one ``profiler`` across entries accumulates a
-    mix-wide attribution.
-    """
-    from repro.apps import make_app
-    from repro.config import make_config
-    from repro.core import WorkStealingRuntime
-    from repro.harness.params import app_params
-    from repro.machine import Machine
-
-    prof = profiler if profiler is not None else EngineProfiler()
-    app = make_app(entry.app, **app_params(entry.app, entry.scale))
-    machine = Machine(make_config(entry.kind, entry.scale))
-    app.setup(machine)
-    prof.install(machine)
-    kwargs = {"serial_elision": True} if entry.serial else {}
-    runtime = WorkStealingRuntime(machine, **kwargs)
-    start = time.perf_counter()
-    runtime.run(app.make_root(serial=False))
-    prof.total_wall += time.perf_counter() - start
-    app.check()
-    return prof
-
-
 def run_profile(mix=None, repeats: int = 1, quick: bool = False) -> dict:
-    """Profile the perf mix; returns the attribution payload."""
-    from repro.harness.perf import DEFAULT_MIX, SMOKE_MIX
+    """Sample the perf mix, each entry run ``repeats`` times fused.
+
+    Each run is ``repro.harness.perf._run_once``, so the shares describe
+    the same workload the wall-clock bench measures.
+    """
+    from repro.harness.perf import DEFAULT_MIX, SMOKE_MIX, _run_once
 
     if mix is None:
-        mix = list(SMOKE_MIX if quick else DEFAULT_MIX)
-    prof = EngineProfiler()
-    for entry in mix:
-        for _ in range(max(1, repeats)):
-            profile_entry(entry, prof)
-    payload = prof.attribution()
+        mix = SMOKE_MIX if quick else DEFAULT_MIX
+    sampler = LayerSampler()
+    start = time.perf_counter()
+    with sampler.armed():
+        for entry in mix:
+            for _ in range(repeats):
+                _run_once(entry, fusion=True)
+    payload = attribution(sampler.samples)
+    payload["total_wall_s"] = time.perf_counter() - start
     payload["mix"] = [
         {"app": e.app, "kind": e.kind, "scale": e.scale, "serial": e.serial}
         for e in mix
@@ -255,60 +187,23 @@ def run_profile(mix=None, repeats: int = 1, quick: bool = False) -> dict:
 
 
 def format_profile(payload: dict) -> str:
-    """Ranked attribution table for the CLI."""
+    """Ranked per-layer table for the CLI."""
     total = payload["total_wall_s"]
+    n = payload["samples"]
+    rate = n / total if total > 0 else 0.0
     lines = [
-        f"profiled wall time: {total:.3f}s  "
-        f"(direct probe coverage {100 * payload['coverage']:.1f}%)",
-        f"{'component':<20} {'seconds':>9} {'share':>7} {'calls':>12}",
+        f"sampled wall time: {total:.3f}s  {n} samples (~{rate:.0f} Hz)",
+        f"{'layer':<20} {'samples':>8} {'share':>7} {'stderr':>7}",
     ]
-    for row in payload["components"]:
-        if row["seconds"] <= 0 and row["calls"] == 0:
-            continue
+    for row in payload["layers"]:
         lines.append(
-            f"{row['component']:<20} {row['seconds']:>9.4f} "
-            f"{100 * row['share']:>6.1f}% {row['calls']:>12}"
+            f"{row['layer']:<20} {row['samples']:>8} "
+            f"{100 * row['share']:>6.1f}% {100 * row['stderr']:>6.1f}%"
         )
     return "\n".join(lines)
-
-
-def chrome_trace(payload: dict) -> dict:
-    """Attribution as Chrome trace-event JSON (flamegraph-style).
-
-    Each component becomes one complete ("X") event laid out sequentially
-    on a single track, sized by its exclusive seconds — load the file in
-    ``chrome://tracing`` / Perfetto and the width ordering *is* the ranked
-    attribution.  (A true call-by-call timeline would be gigabytes for a
-    perf-mix run; this is the summary view.)
-    """
-    events = []
-    t_us = 0.0
-    for row in payload["components"]:
-        dur_us = row["seconds"] * 1e6
-        if dur_us <= 0:
-            continue
-        events.append(
-            {
-                "name": row["component"],
-                "ph": "X",
-                "ts": t_us,
-                "dur": dur_us,
-                "pid": 1,
-                "tid": 1,
-                "args": {"calls": row["calls"], "share": row["share"]},
-            }
-        )
-        t_us += dur_us
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 def write_profile(payload: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_chrome_trace(payload: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(chrome_trace(payload), fh)
         fh.write("\n")

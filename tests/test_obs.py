@@ -2,7 +2,7 @@
 
 Covers the metrics registry and exporters, heartbeat snapshots, the run
 ledger (exactly one line per ``run_experiment`` outcome), the engine
-profiler's attribution, the ``repro top`` / ``repro profile`` /
+layer sampler's attribution, the ``repro top`` / ``repro profile`` /
 ``repro report`` CLI surfaces, the grid progress ETA estimator, the
 interval sampler's tail-flush invariant, and termlog's JSON mode.
 """
@@ -256,43 +256,80 @@ class TestLedger:
 
 
 # ----------------------------------------------------------------------
-# Engine profiler
+# Engine profiler (statistical layer sampler)
 # ----------------------------------------------------------------------
 class TestProfiler:
-    def test_wall_profiler_exclusive_attribution(self):
-        from repro.obs.profile import WallProfiler
-
-        prof = WallProfiler()
-        prof.enter("outer")
-        prof.enter("inner")
-        prof.exit()
-        prof.exit()
-        assert prof.calls == {"outer": 1, "inner": 1}
-        assert all(s >= 0 for s in prof.seconds.values())
-        assert prof.op_label("load") is prof.op_label("load")
-
     def test_quick_profile_attributes_wall_time(self):
-        from repro.obs.profile import (
-            RESIDUAL_LABEL, chrome_trace, format_profile, run_profile,
-        )
+        from repro.obs.profile import LAYERS, format_profile, run_profile
 
-        payload = run_profile(quick=True)
-        components = {r["component"]: r for r in payload["components"]}
-        # Everything is attributed to *named* components: direct probes
-        # plus the explicitly named residual cover >= 90% by construction,
-        # and direct probes alone must carry real weight.
-        assert sum(r["share"] for r in payload["components"]) >= 0.9
-        assert payload["coverage"] > 0.4
-        assert RESIDUAL_LABEL in components
-        assert "runtime.coroutine" in components
-        assert "mem.l1" in components and components["mem.l1"]["calls"] > 0
-        assert any(name.startswith("op.") for name in components)
+        payload = run_profile(quick=True, repeats=5)
+        assert payload["samples"] > 0
+        assert sum(r["samples"] for r in payload["layers"]) == payload["samples"]
+        assert sum(r["share"] for r in payload["layers"]) == pytest.approx(1.0)
+        assert {r["layer"] for r in payload["layers"]} <= set(LAYERS)
         text = format_profile(payload)
-        assert "runtime.coroutine" in text and "coverage" in text
-        trace = chrome_trace(payload)
-        assert trace["traceEvents"] and all(
-            e["dur"] > 0 for e in trace["traceEvents"]
-        )
+        assert payload["layers"][0]["layer"] in text and "stderr" in text
+
+    def test_stderr_is_binomial(self):
+        from collections import Counter
+
+        from repro.obs.profile import attribution
+
+        payload = attribution(Counter({"mem.l1": 30, "engine.loop": 10}))
+        rows = {r["layer"]: r for r in payload["layers"]}
+        assert payload["samples"] == 40
+        assert rows["mem.l1"]["share"] == 0.75
+        assert rows["mem.l1"]["stderr"] == pytest.approx((0.75 * 0.25 / 40) ** 0.5)
+        assert rows["engine.loop"]["stderr"] == pytest.approx((0.25 * 0.75 / 40) ** 0.5)
+
+    def test_innermost_repro_frame_names_the_layer(self):
+        from types import SimpleNamespace
+
+        from repro.obs.profile import _ROOT, HOST, frame_layer
+
+        def stack(*frames):
+            """A fake frame chain, outermost (path, function) first."""
+            frame = None
+            for path, name in frames:
+                code = SimpleNamespace(co_filename=path, co_name=name)
+                frame = SimpleNamespace(f_code=code, f_back=frame)
+            return frame
+
+        core = _ROOT + "cores/core.py"
+        assert frame_layer(stack((core, "_resume"))) == "core.trampoline"
+        assert frame_layer(stack((core, "_resume"), (core, "_op_load"))) == "core.ops"
+        assert frame_layer(stack((core, "_resume_ff"))) == "engine.fastforward"
+        assert frame_layer(stack((_ROOT + "engine/simulator.py", "run"))) == "engine.loop"
+        assert frame_layer(stack(
+            (core, "_op_load"), (_ROOT + "mem/l1/mesi.py", "load"), ("/lib/heapq.py", "f"),
+        )) == "mem.l1"
+        assert frame_layer(stack(("/lib/json/encoder.py", "encode"))) == HOST
+
+    def test_previous_sigprof_state_restored(self):
+        import signal
+
+        from repro.obs.profile import LayerSampler
+
+        def handler(signum, frame):
+            pass
+
+        old_handler = signal.signal(signal.SIGPROF, handler)
+        old_timer = signal.setitimer(signal.ITIMER_PROF, 100.0, 100.0)
+        try:
+            with LayerSampler().armed():
+                assert signal.getsignal(signal.SIGPROF) is not handler
+            assert signal.getsignal(signal.SIGPROF) is handler
+            assert signal.getitimer(signal.ITIMER_PROF)[1] == 100.0
+            with pytest.raises(RuntimeError):
+                with LayerSampler().armed():
+                    raise RuntimeError("profiled run failed")
+            assert signal.getsignal(signal.SIGPROF) is handler
+            delay, interval = signal.getitimer(signal.ITIMER_PROF)
+            # Not disarmed and not left at the sampler's interval.
+            assert interval == 100.0 and delay > 1.0
+        finally:
+            signal.setitimer(signal.ITIMER_PROF, *old_timer)
+            signal.signal(signal.SIGPROF, old_handler)
 
 
 # ----------------------------------------------------------------------
