@@ -233,56 +233,13 @@ def _cmd_fig(args) -> int:
 
 
 def _cmd_perf(args) -> int:
-    from repro.harness.perf import (
-        DEFAULT_MIX,
-        SAMPLED_MIX,
-        SMOKE_MIX,
-        SMOKE_SAMPLED_MIX,
-        compare_baseline,
-        format_baseline_report,
-        format_report,
-        format_sampled_report,
-        read_bench,
-        run_mix,
-        run_sampled_mix,
-        write_bench,
-    )
+    from repro.harness.perf import DEFAULT_MIX, SMOKE_MIX, format_report, run_mix
 
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = read_bench(args.baseline)
-        except OSError as exc:
-            print(f"repro perf: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
+    # run_entry raises AssertionError on any fused/unfused disagreement,
+    # so a printed report is the pass verdict.
     mix = SMOKE_MIX if args.smoke else DEFAULT_MIX
-    payload = run_mix(list(mix), repeats=args.repeats)
-    if args.sampled:
-        sampled_mix = SMOKE_SAMPLED_MIX if args.smoke else SAMPLED_MIX
-        payload["sampled"] = run_sampled_mix(list(sampled_mix), repeats=1)
-    print(format_report(payload))
-    if args.sampled:
-        print()
-        print(format_sampled_report(payload["sampled"]))
-    if args.out:
-        write_bench(payload, args.out)
-        print(f"\nbench written  : {args.out}", file=sys.stderr)
-    code = 0
-    if baseline is not None:
-        report = compare_baseline(payload, baseline, tolerance=args.tolerance)
-        print()
-        print(format_baseline_report(report))
-        if not report["ok"]:
-            code = 1
-    speedup = payload["aggregate"]["speedup"]
-    if args.min_speedup is not None and speedup < args.min_speedup:
-        print(
-            f"FAIL: mix speedup {speedup:.2f}x below required "
-            f"{args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        code = 1
-    return code
+    print(format_report(run_mix(list(mix), repeats=args.repeats)))
+    return 0
 
 
 def _cmd_sample(args) -> int:
@@ -721,12 +678,9 @@ def main(argv=None) -> int:
 
     perf_parser = sub.add_parser(
         "perf",
-        help="benchmark the simulator's own wall-clock throughput "
-             "(event-fusion fast path vs REPRO_NO_FUSION slow path)")
-    perf_parser.add_argument(
-        "--out", default="BENCH_wallclock.json", metavar="FILE",
-        help="write the benchmark payload as JSON (default: "
-             "BENCH_wallclock.json; pass '' to skip)")
+        help="run each perf-mix entry with event fusion on and off, fail "
+             "unless cycles, stats and traffic match, and report both "
+             "wall times")
     perf_parser.add_argument(
         "--repeats", type=positive_int, default=2, metavar="N",
         help="runs per mode per entry; wall time is the best of N "
@@ -734,22 +688,6 @@ def main(argv=None) -> int:
     perf_parser.add_argument(
         "--smoke", action="store_true",
         help="run the small CI smoke mix instead of the full default mix")
-    perf_parser.add_argument(
-        "--min-speedup", type=float, default=None, metavar="X",
-        help="exit non-zero if the mix-aggregate fused/unfused speedup "
-             "falls below X")
-    perf_parser.add_argument(
-        "--sampled", action="store_true",
-        help="also benchmark the exact-vs-sampled pairs (repro.sampling) "
-             "and record them in the payload's 'sampled' section")
-    perf_parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="compare against a committed BENCH_wallclock.json and exit "
-             "non-zero on any regression beyond --tolerance")
-    perf_parser.add_argument(
-        "--tolerance", type=float, default=0.15, metavar="FRAC",
-        help="allowed fractional drop per metric for --baseline "
-             "(default: 0.15)")
 
     sample_parser = sub.add_parser(
         "sample",

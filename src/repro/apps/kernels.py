@@ -1,9 +1,9 @@
 """Simulator-throughput microkernels (not part of the paper's Table III).
 
 Two synthetic apps that stress the discrete-event kernel itself rather
-than any modeled algorithm, used by ``benchmarks/bench_wallclock.py`` and
-the ``repro perf`` CLI to measure host throughput (simulated cycles and
-events per wall-clock second):
+than any modeled algorithm, used by the ``repro perf`` fused/unfused
+differential (``repro.harness.perf``) and the ``repro profile`` sampler
+to exercise the engine at full event rate:
 
 * ``kernel-spin``  — back-to-back unit ``Work`` ops: the maximum event
   rate the engine can sustain, isolating dispatch + event-fusion cost.

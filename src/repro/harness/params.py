@@ -94,7 +94,7 @@ APP_PARAMS: Dict[str, Dict[str, dict]] = {
         "large": dict(scale=10, grain=32),
     },
     # Simulator-throughput microkernels (repro.apps.kernels) — not part of
-    # Table III; sized for the wall-clock benchmark, not for paper figures.
+    # Table III; sized for the repro perf mix, not for paper figures.
     "kernel-spin": {
         "tiny": dict(iters=20_000, grain=2048),
         "quick": dict(iters=300_000, grain=8192),

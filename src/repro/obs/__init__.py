@@ -36,8 +36,8 @@ import sys
 def host_fingerprint() -> dict:
     """A stable identity block for the executing host + interpreter.
 
-    Embedded in ``BENCH_wallclock.json`` and every ledger line so perf
-    trajectories and past runs stay attributable across machines.
+    Embedded in every ledger line and in perfbench's output so past runs
+    and benchmark numbers stay attributable across machines.
     """
     return {
         "python": sys.version.split()[0],

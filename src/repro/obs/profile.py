@@ -164,7 +164,7 @@ def run_profile(mix=None, repeats: int = 1, quick: bool = False) -> dict:
     """Sample the perf mix, each entry run ``repeats`` times fused.
 
     Each run is ``repro.harness.perf._run_once``, so the shares describe
-    the same workload the wall-clock bench measures.
+    the fused leg of the ``repro perf`` differential.
     """
     from repro.harness.perf import DEFAULT_MIX, SMOKE_MIX, _run_once
 

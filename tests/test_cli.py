@@ -81,3 +81,10 @@ def test_fuzz_positive_control(capsys):
         "no-thief-flush", "--expect-violations",
     ])
     assert code == 0  # violations expected and found
+
+
+def test_perf_smoke_writes_no_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["perf", "--smoke", "--repeats", "1"]) == 0
+    assert "-- mix --" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []

@@ -135,3 +135,30 @@ def test_perf_harness_smoke():
     assert row["events_fused"] > 0
     assert row["fused_ratio"] > 0.9
     assert row["wall_fused_s"] > 0 and row["wall_unfused_s"] > 0
+
+
+@pytest.mark.parametrize("field", ["cycles", "flatten", "traffic"])
+def test_perf_harness_rejects_a_single_diverging_run(monkeypatch, field):
+    """run_entry compares cycles, the stats tree and the traffic bytes of
+    every run; one run that differs in any of them fails the entry."""
+    from repro.harness import perf
+
+    real_run_once = perf._run_once
+    runs = []
+
+    def run_once(entry, fusion):
+        out = real_run_once(entry, fusion)
+        runs.append(out)
+        if len(runs) == 3:  # the first unfused run of repeats=2
+            if field == "cycles":
+                out["cycles"] += 1
+            else:
+                key = next(iter(out[field]))
+                out[field] = {**out[field], key: out[field][key] + 1}
+        return out
+
+    monkeypatch.setattr(perf, "_run_once", run_once)
+    entry = perf.PerfEntry("kernel-spin", "serial-io", "tiny", serial=True)
+    with pytest.raises(AssertionError, match="disagree"):
+        perf.run_entry(entry, repeats=2)
+    assert len(runs) == 4

@@ -353,93 +353,3 @@ class TestDifferential:
         text = format_validation(payload)
         assert APP in text
         assert "speedup" in text
-
-
-# ----------------------------------------------------------------------
-# Perf baseline comparison (repro perf --baseline)
-# ----------------------------------------------------------------------
-def _perf_payload(evps, mix_evps, speedup, sampled_speedup=None):
-    payload = {
-        "entries": [
-            {
-                "app": "kernel-spin",
-                "kind": "serial-io",
-                "scale": "tiny",
-                "serial": True,
-                "events_per_sec": evps,
-            }
-        ],
-        "aggregate": {"events_per_sec": mix_evps, "speedup": speedup},
-    }
-    if sampled_speedup is not None:
-        payload["sampled"] = {"aggregate": {"speedup": sampled_speedup}}
-    return payload
-
-
-class TestPerfBaseline:
-    def test_within_tolerance_passes(self):
-        from repro.harness.perf import compare_baseline
-
-        base = _perf_payload(1000.0, 2000.0, 2.0, sampled_speedup=10.0)
-        fresh = _perf_payload(900.0, 1900.0, 1.9, sampled_speedup=9.5)
-        report = compare_baseline(fresh, base, tolerance=0.15)
-        assert report["ok"] and not report["regressions"]
-        # Every tracked metric produced a comparison row.
-        labels = {row["label"] for row in report["comparisons"]}
-        assert "mix events/s" in labels
-        assert "sampled mix speedup" in labels
-
-    def test_regression_flagged_and_formatted(self):
-        from repro.harness.perf import compare_baseline, format_baseline_report
-
-        base = _perf_payload(1000.0, 2000.0, 2.0)
-        fresh = _perf_payload(700.0, 1950.0, 1.95)  # entry dropped 30%
-        report = compare_baseline(fresh, base, tolerance=0.15)
-        assert not report["ok"]
-        assert [r["label"] for r in report["regressions"]] == [
-            "kernel-spin/serial-io/tiny events/s"
-        ]
-        text = format_baseline_report(report)
-        assert "REGRESSION" in text and "FAIL" in text
-
-    def test_improvements_and_missing_entries_never_flagged(self):
-        from repro.harness.perf import compare_baseline
-
-        base = _perf_payload(1000.0, 2000.0, 2.0)
-        fresh = _perf_payload(5000.0, 9000.0, 3.0)
-        fresh["entries"].append(
-            {
-                "app": "new-entry",
-                "kind": "serial-io",
-                "scale": "tiny",
-                "serial": False,
-                "events_per_sec": 1.0,  # not in baseline: reported, not flagged
-            }
-        )
-        report = compare_baseline(fresh, base, tolerance=0.0)
-        assert report["ok"]
-
-    def test_old_baseline_with_parallel_block_still_compares(self):
-        """Older BENCH_wallclock.json files carry a ``parallel`` section;
-        --baseline ignores it instead of failing on it."""
-        from repro.harness.perf import compare_baseline
-
-        base = _perf_payload(1000.0, 2000.0, 2.0)
-        base["parallel"] = {
-            "entries": [{"app": "cilk5-cs", "kind": "bt-hcc-dts-dnv",
-                         "scale": "quick", "speedup": 0.91}],
-            "aggregate": {"speedup": 0.91},
-        }
-        report = compare_baseline(_perf_payload(1000.0, 2000.0, 2.0), base)
-        assert report["ok"]
-        assert {row["label"] for row in report["comparisons"]} == {
-            "kernel-spin/serial-io/tiny events/s",
-            "mix events/s",
-            "mix fusion speedup",
-        }
-
-    def test_bad_tolerance_rejected(self):
-        from repro.harness.perf import compare_baseline
-
-        with pytest.raises(ValueError):
-            compare_baseline(_perf_payload(1, 1, 1), _perf_payload(1, 1, 1), -0.1)
