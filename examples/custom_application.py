@@ -47,7 +47,7 @@ class DotProduct(Task):
             # GPU ones where AMOs execute at the shared L2.
             yield ctx.amo_add(self.out_addr, partial)
 
-        yield from parallel_for(rt, ctx, 0, self.n, body, self.grain)
+        yield parallel_for(rt, ctx, 0, self.n, body, self.grain)
 
 
 def main() -> None:

@@ -40,7 +40,7 @@ class FibTask(Task):
             FibTask(self.n - 1, scratch),
             FibTask(self.n - 2, scratch + WORD_BYTES),
         ]
-        yield from rt.fork_join(ctx, self, children)  # spawn both, wait
+        yield rt.fork_join(ctx, self, children)  # spawn both, wait
         x = yield ctx.load(scratch)
         y = yield ctx.load(scratch + WORD_BYTES)
         yield ctx.store(self.out_addr, x + y)

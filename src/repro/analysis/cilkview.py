@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.task import Task
-from repro.cores.context import ThreadContext
+from repro.cores.context import ThreadContext, drive
 from repro.mem.address import WORD_BYTES, AddressSpace
 from repro.mem.amo import apply_amo
 
@@ -98,7 +98,7 @@ class CilkviewAnalyzer:
             self._register(child)
             self._work = 0
             self._span = 0
-            yield from self._run_task(ctx, child)
+            yield self._run_task(ctx, child)
             child_metrics.append((self._work, self._span))
         total_child_work = sum(w for w, _ in child_metrics)
         longest_child_span = max(s for _, s in child_metrics)
@@ -107,7 +107,7 @@ class CilkviewAnalyzer:
 
     def run_inline(self, ctx, task: Task):
         self._register(task)
-        yield from self._run_task(ctx, task)
+        yield self._run_task(ctx, task)
 
     def spawn(self, ctx, task: Task):  # pragma: no cover - apps use fork_join
         raise NotImplementedError("CilkviewAnalyzer only supports fork_join")
@@ -116,7 +116,7 @@ class CilkviewAnalyzer:
     def _run_task(self, ctx, task: Task):
         self.n_tasks += 1
         self._count(4)  # task start overhead, mirroring the real runtime
-        yield from task.execute(self, ctx)
+        yield task.execute(self, ctx)
 
     def _register(self, task: Task) -> None:
         task.task_id = self.n_tasks + 1
@@ -131,6 +131,7 @@ class CilkviewAnalyzer:
 
     def _run_generator(self, gen) -> None:
         """Drive a task generator functionally, applying each yielded op."""
+        gen = drive(gen)
         try:
             op = next(gen)
             while True:

@@ -41,13 +41,13 @@ class _SortTask(Task):
     def execute(self, rt, ctx):
         app, lo, hi, g = self.app, self.lo, self.hi, self.grain
         if hi - lo <= g or hi - lo < 4:  # quartering needs >= 4 elements
-            yield from app.serial_sort(ctx, app.data, lo, hi)
+            yield app.serial_sort(ctx, app.data, lo, hi)
             return
         quarter = (hi - lo) // 4
         m1 = lo + quarter
         m2 = lo + 2 * quarter
         m3 = lo + 3 * quarter
-        yield from rt.fork_join(
+        yield rt.fork_join(
             ctx,
             self,
             [
@@ -57,7 +57,7 @@ class _SortTask(Task):
                 _SortTask(app, m3, hi, g),
             ],
         )
-        yield from rt.fork_join(
+        yield rt.fork_join(
             ctx,
             self,
             [
@@ -65,7 +65,7 @@ class _SortTask(Task):
                 _MergeTask(app, app.data, app.temp, m2, m3, m3, hi, m2, g),
             ],
         )
-        yield from rt.fork_join(
+        yield rt.fork_join(
             ctx,
             self,
             [_MergeTask(app, app.temp, app.data, lo, m2, m2, hi, lo, g)],
@@ -94,7 +94,7 @@ class _MergeTask(Task):
         n1 = self.hi1 - self.lo1
         n2 = self.hi2 - self.lo2
         if n1 + n2 <= 2 * self.grain:
-            yield from app.serial_merge(
+            yield app.serial_merge(
                 ctx, self.src, self.dst, self.lo1, self.hi1, self.lo2, self.hi2, self.dlo
             )
             return
@@ -102,11 +102,11 @@ class _MergeTask(Task):
         if n1 >= n2:
             mid1 = (self.lo1 + self.hi1) // 2
             pivot = yield self.src.load(ctx, mid1)
-            mid2 = yield from app.lower_bound(ctx, self.src, self.lo2, self.hi2, pivot)
+            mid2 = yield app.lower_bound(ctx, self.src, self.lo2, self.hi2, pivot)
         else:
             mid2 = (self.lo2 + self.hi2) // 2
             pivot = yield self.src.load(ctx, mid2)
-            mid1 = yield from app.lower_bound(ctx, self.src, self.lo1, self.hi1, pivot)
+            mid1 = yield app.lower_bound(ctx, self.src, self.lo1, self.hi1, pivot)
         d_split = self.dlo + (mid1 - self.lo1) + (mid2 - self.lo2)
         children = [
             _MergeTask(app, self.src, self.dst, self.lo1, mid1, self.lo2, mid2,
@@ -114,7 +114,7 @@ class _MergeTask(Task):
             _MergeTask(app, self.src, self.dst, mid1, self.hi1, mid2, self.hi2,
                        d_split, self.grain),
         ]
-        yield from rt.fork_join(ctx, self, children)
+        yield rt.fork_join(ctx, self, children)
 
 
 @register_app("cilk5-cs")

@@ -27,20 +27,20 @@ class _LuRootTask(Task):
         app, b = self.app, self.block_size
         nb = app.n // b
         for k in range(nb):
-            yield from app.factor_block(ctx, k * b, b)
+            yield app.factor_block(ctx, k * b, b)
             panels = []
             for j in range(k + 1, nb):
                 panels.append(self._panel_task(app, k, j, b, row=True))
                 panels.append(self._panel_task(app, k, j, b, row=False))
             if panels:
-                yield from rt.fork_join(ctx, self, panels)
+                yield rt.fork_join(ctx, self, panels)
             updates = [
                 FuncTask(self._schur(app, i * b, j * b, k * b, b))
                 for i in range(k + 1, nb)
                 for j in range(k + 1, nb)
             ]
             if updates:
-                yield from rt.fork_join(ctx, self, updates)
+                yield rt.fork_join(ctx, self, updates)
 
     @staticmethod
     def _panel_task(app, k, j, b, row):

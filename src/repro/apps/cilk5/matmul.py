@@ -32,7 +32,7 @@ class _MmTask(Task):
     def execute(self, rt, ctx):
         app, s = self.app, self.size
         if s <= self.grain:
-            yield from app.serial_mm(ctx, self.ar, self.ak, self.cr, self.cc, s)
+            yield app.serial_mm(ctx, self.ar, self.ak, self.cr, self.cc, s)
             return
         h = s // 2
         ar, ak, cr, cc, g = self.ar, self.ak, self.cr, self.cc, self.grain
@@ -42,14 +42,14 @@ class _MmTask(Task):
             _MmTask(app, cr + h, ak, cr + h, cc, h, g),
             _MmTask(app, cr + h, ak, cr + h, cc + h, h, g),
         ]
-        yield from rt.fork_join(ctx, self, wave1)
+        yield rt.fork_join(ctx, self, wave1)
         wave2 = [
             _MmTask(app, cr, ak + h, cr, cc, h, g),
             _MmTask(app, cr, ak + h, cr, cc + h, h, g),
             _MmTask(app, cr + h, ak + h, cr + h, cc, h, g),
             _MmTask(app, cr + h, ak + h, cr + h, cc + h, h, g),
         ]
-        yield from rt.fork_join(ctx, self, wave2)
+        yield rt.fork_join(ctx, self, wave2)
 
 
 @register_app("cilk5-mm")

@@ -35,7 +35,7 @@ class _NqTask(Task):
             value = yield self.board.load(ctx, r)
             placed.append(value)
         if row >= app.cutoff or row == app.n:
-            count = yield from app.serial_count(ctx, placed)
+            count = yield app.serial_count(ctx, placed)
             if count:
                 yield ctx.amo_add(app.counter_addr, count)
             return
@@ -52,7 +52,7 @@ class _NqTask(Task):
             yield child_board.store(ctx, row, col)
             children.append(_NqTask(app, child_board, row + 1))
         if children:
-            yield from rt.fork_join(ctx, self, children)
+            yield rt.fork_join(ctx, self, children)
 
 
 @register_app("cilk5-nq")

@@ -39,7 +39,7 @@ class _SpinRoot(Task):
             count = min(self.grain, remaining)
             leaves.append(_SpinLeaf(self.app, count))
             remaining -= count
-        yield from rt.fork_join(ctx, self, leaves)
+        yield rt.fork_join(ctx, self, leaves)
 
 
 class _SpinLeaf(Task):
@@ -96,7 +96,7 @@ class _StreamRoot(Task):
             _StreamLeaf(self.app, start, min(self.grain, self.app.n - start))
             for start in range(0, self.app.n, self.grain)
         ]
-        yield from rt.fork_join(ctx, self, leaves)
+        yield rt.fork_join(ctx, self, leaves)
 
 
 class _StreamLeaf(Task):

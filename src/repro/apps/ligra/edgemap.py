@@ -45,7 +45,7 @@ class DenseFrontier:
         machine.host_write_word(self.size_addr, 0)
 
     # Helpers: the single-op ones (add, reset_size, read_size) return
-    # their op to ``yield``; the others are generators to ``yield from``.
+    # their op and the others are generators; callers ``yield`` either.
     def add(self, ctx, v: int) -> ops.Store:
         """Insert v (idempotent store; caller counts separately)."""
         return self.flags.store(ctx, v, 1)
@@ -98,24 +98,24 @@ def edge_map(rt, ctx, graph: SimGraph, frontier_cur: DenseFrontier,
     def body(rt, ctx, lo, hi):
         added = 0
         for u in range(lo, hi):
-            active = yield from frontier_cur.test_and_clear(ctx, u)
+            active = yield frontier_cur.test_and_clear(ctx, u)
             yield ctx.work(1)
             if not active:
                 continue
-            start, end = yield from graph.edge_range(ctx, u)
+            start, end = yield graph.edge_range(ctx, u)
             for e in range(start, end):
                 v = yield graph.edge_target(ctx, e)
-                ok = yield from functor.cond(ctx, v)
+                ok = yield functor.cond(ctx, v)
                 yield ctx.work(1)
                 if not ok:
                     continue
-                joined = yield from functor.update(ctx, u, v)
+                joined = yield functor.update(ctx, u, v)
                 if joined:
                     yield frontier_next.add(ctx, v)
                     added += 1
-        yield from frontier_next.add_size(ctx, added)
+        yield frontier_next.add_size(ctx, added)
 
-    yield from parallel_for(rt, ctx, 0, graph.n, body, grain)
+    yield parallel_for(rt, ctx, 0, graph.n, body, grain)
 
 
 def vertex_map(rt, ctx, n: int, functor, grain: int):
@@ -123,6 +123,6 @@ def vertex_map(rt, ctx, n: int, functor, grain: int):
 
     def body(rt, ctx, lo, hi):
         for v in range(lo, hi):
-            yield from functor(ctx, v)
+            yield functor(ctx, v)
 
-    yield from parallel_for(rt, ctx, 0, n, body, grain)
+    yield parallel_for(rt, ctx, 0, n, body, grain)

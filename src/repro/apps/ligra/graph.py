@@ -11,6 +11,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 from repro.apps.common import SimArray
@@ -26,21 +27,36 @@ def rmat(
     b: float = 0.19,
     c: float = 0.19,
 ) -> List[Tuple[int, int]]:
-    """Generate ~``n * avg_degree`` R-MAT edges over ``n = 2**scale`` vertices."""
+    """Generate ~``n * avg_degree`` R-MAT edges over ``n = 2**scale`` vertices.
+
+    Each recursion level takes one ``XorShift64(seed)`` draw ``u`` and picks
+    a quadrant by ``r < a``, ``r < a + b``, ``r < a + b + c``, where
+    ``r = (u >> 11) / 2**53`` is ``XorShift64.random()``.  Since
+    ``k / 2**53 < p`` exactly when ``k < ceil(p * 2**53)`` for an integer
+    ``k``, each test compares ``u`` itself against
+    ``ceil(p * 2**53) << 11``, with the xorshift64* step inlined.
+    """
     n = 1 << scale
     n_edges = n * avg_degree
-    rng = XorShift64(seed)
+    t_a = math.ceil(a * 2.0**53) << 11
+    t_ab = math.ceil((a + b) * 2.0**53) << 11
+    t_abc = math.ceil((a + b + c) * 2.0**53) << 11
+    mask = (1 << 64) - 1
+    x = XorShift64(seed)._state
     edges = []
     for _ in range(n_edges):
         u = v = 0
         half = n >> 1
         while half:
-            r = rng.random()
-            if r < a:
+            x ^= x >> 12
+            x ^= (x << 25) & mask
+            x ^= x >> 27
+            r = (x * 0x2545F4914F6CDD1D) & mask
+            if r < t_a:
                 pass
-            elif r < a + b:
+            elif r < t_ab:
                 v += half
-            elif r < a + b + c:
+            elif r < t_abc:
                 u += half
             else:
                 u += half
@@ -126,8 +142,8 @@ class SimGraph:
             self.weights.host_init(graph.weights)
 
     # ------------------------------------------------------------------
-    # Accessors: edge_target returns its one op to ``yield``; the others
-    # are generators to ``yield from``.
+    # Accessors: edge_target returns its one op and the others are
+    # generators; callers ``yield`` either.
     # ------------------------------------------------------------------
     def edge_range(self, ctx, v: int):
         """Load [start, end) of v's adjacency (two offset loads)."""

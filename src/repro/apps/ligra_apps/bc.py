@@ -47,7 +47,7 @@ class LigraBetweennessCentrality(LigraApp):
                         continue
                     yield cur.store(ctx, v, 0)
                     sigma_v = yield self.sigma.load(ctx, v)
-                    start, end = yield from self.g.edge_range(ctx, v)
+                    start, end = yield self.g.edge_range(ctx, v)
                     for e in range(start, end):
                         u = yield self.g.edge_target(ctx, e)
                         lu = yield self.level.load(ctx, u)
@@ -65,7 +65,7 @@ class LigraBetweennessCentrality(LigraApp):
                 if discovered:
                     yield ctx.amo_add(self.count_addr, discovered)
 
-            yield from self.pfor(rt, ctx, forward, grain)
+            yield self.pfor(rt, ctx, forward, grain)
             size = yield ctx.load(self.count_addr)
             if size == 0:
                 break
@@ -80,7 +80,7 @@ class LigraBetweennessCentrality(LigraApp):
                     if lv != r:
                         continue
                     sigma_v = yield self.sigma.load(ctx, v)
-                    start, end = yield from self.g.edge_range(ctx, v)
+                    start, end = yield self.g.edge_range(ctx, v)
                     acc = 0.0
                     for e in range(start, end):
                         u = yield self.g.edge_target(ctx, e)
@@ -94,7 +94,7 @@ class LigraBetweennessCentrality(LigraApp):
                         acc += sigma_v / sigma_u * (1.0 + delta_u)
                     yield self.delta.store(ctx, v, acc)
 
-            yield from self.pfor(rt, ctx, backward, grain)
+            yield self.pfor(rt, ctx, backward, grain)
 
     def check(self) -> None:
         exp_level, exp_sigma, exp_delta = self._reference()

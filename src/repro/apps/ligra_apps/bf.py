@@ -43,10 +43,10 @@ class LigraBellmanFord(LigraApp):
                         continue
                     yield cur.store(ctx, v, 0)
                     dv = yield self.dist.load(ctx, v)
-                    start, end = yield from self.g.edge_range(ctx, v)
+                    start, end = yield self.g.edge_range(ctx, v)
                     for e in range(start, end):
                         u = yield self.g.edge_target(ctx, e)
-                        w = yield from self.g.edge_weight(ctx, e)
+                        w = yield self.g.edge_weight(ctx, e)
                         candidate = dv + w
                         yield ctx.work(1)
                         old = yield self.dist.amo(ctx, "min", u, candidate)
@@ -58,7 +58,7 @@ class LigraBellmanFord(LigraApp):
                 if relaxed:
                     yield ctx.amo_add(self.count_addr, relaxed)
 
-            yield from self.pfor(rt, ctx, body, grain)
+            yield self.pfor(rt, ctx, body, grain)
             relaxed = yield ctx.load(self.count_addr)
             if relaxed == 0:
                 break

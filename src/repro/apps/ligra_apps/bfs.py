@@ -42,7 +42,7 @@ class LigraBfs(LigraApp):
                     if not active:
                         continue
                     yield cur.store(ctx, v, 0)
-                    start, end = yield from self.g.edge_range(ctx, v)
+                    start, end = yield self.g.edge_range(ctx, v)
                     for e in range(start, end):
                         u = yield self.g.edge_target(ctx, e)
                         p = yield self.parent.load(ctx, u)
@@ -56,7 +56,7 @@ class LigraBfs(LigraApp):
                 if claimed:
                     yield ctx.amo_add(self.count_addr, claimed)
 
-            yield from self.pfor(rt, ctx, body, grain)
+            yield self.pfor(rt, ctx, body, grain)
             size = yield ctx.load(self.count_addr)
             if size == 0:
                 break

@@ -50,7 +50,7 @@ class LigraBfsEdgeMap(LigraApp):
         while True:
             cur = self.frontiers[round_index % 2]
             nxt = self.frontiers[(round_index + 1) % 2]
-            yield from edge_map(rt, ctx, self.g, cur, nxt, functor, grain)
+            yield edge_map(rt, ctx, self.g, cur, nxt, functor, grain)
             size = yield nxt.read_size(ctx)
             if size == 0:
                 break

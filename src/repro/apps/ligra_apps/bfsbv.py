@@ -60,7 +60,7 @@ class LigraBfsBitvector(LigraApp):
                         bits ^= low
                         v = w * BITS + low.bit_length() - 1
                         yield ctx.work(2)
-                        start, end = yield from self.g.edge_range(ctx, v)
+                        start, end = yield self.g.edge_range(ctx, v)
                         for e in range(start, end):
                             u = yield self.g.edge_target(ctx, e)
                             mask = 1 << (u % BITS)
@@ -70,13 +70,13 @@ class LigraBfsBitvector(LigraApp):
                                 continue
                             old = yield self.visited.amo(ctx, "or", u // BITS, mask)
                             if not old & mask:
-                                yield from self.nxt_set(ctx, nxt, u)
+                                yield self.nxt_set(ctx, nxt, u)
                                 yield self.level.store(ctx, u, depth)
                                 discovered += 1
                 if discovered:
                     yield ctx.amo_add(self.count_addr, discovered)
 
-            yield from self.pfor(rt, ctx, body, grain)
+            yield self.pfor(rt, ctx, body, grain)
             size = yield ctx.load(self.count_addr)
             if size == 0:
                 break

@@ -38,7 +38,7 @@ class LigraConnectedComponents(LigraApp):
                         continue
                     yield cur.store(ctx, v, 0)
                     label_v = yield self.labels.load(ctx, v)
-                    start, end = yield from self.g.edge_range(ctx, v)
+                    start, end = yield self.g.edge_range(ctx, v)
                     for e in range(start, end):
                         u = yield self.g.edge_target(ctx, e)
                         label_u = yield self.labels.load(ctx, u)
@@ -51,7 +51,7 @@ class LigraConnectedComponents(LigraApp):
                 if changed:
                     yield ctx.amo_add(self.count_addr, changed)
 
-            yield from self.pfor(rt, ctx, body, grain)
+            yield self.pfor(rt, ctx, body, grain)
             changed = yield ctx.load(self.count_addr)
             if changed == 0:
                 break

@@ -49,7 +49,7 @@ class LigraMis(LigraApp):
                     if state != UNDECIDED:
                         continue
                     prio_v = yield self.priority.load(ctx, v)
-                    start, end = yield from self.g.edge_range(ctx, v)
+                    start, end = yield self.g.edge_range(ctx, v)
                     joins = True
                     drops = False
                     for e in range(start, end):
@@ -73,7 +73,7 @@ class LigraMis(LigraApp):
                 if decided:
                     yield ctx.amo_add(self.decided_addr, decided)
 
-            yield from self.pfor(rt, ctx, body, grain)
+            yield self.pfor(rt, ctx, body, grain)
             decided = yield ctx.load(self.decided_addr)
             total_decided += decided
 

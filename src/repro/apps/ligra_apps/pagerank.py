@@ -40,7 +40,7 @@ class LigraPageRank(LigraApp):
             def body(rt, ctx, lo, hi, cur=cur, nxt=nxt):
                 for v in range(lo, hi):
                     acc = 0.0
-                    start, end = yield from self.g.edge_range(ctx, v)
+                    start, end = yield self.g.edge_range(ctx, v)
                     for e in range(start, end):
                         u = yield self.g.edge_target(ctx, e)
                         rank_u = yield cur.load(ctx, u)
@@ -50,7 +50,7 @@ class LigraPageRank(LigraApp):
                     yield ctx.work(2)
                     yield nxt.store(ctx, v, base + DAMPING * acc)
 
-            yield from self.pfor(rt, ctx, body, grain)
+            yield self.pfor(rt, ctx, body, grain)
 
     def check(self) -> None:
         expected = self._reference()

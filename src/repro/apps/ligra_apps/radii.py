@@ -45,7 +45,7 @@ class LigraRadii(LigraApp):
                 for v in range(lo, hi):
                     bits = yield cur.load(ctx, v)
                     acc = bits
-                    start, end = yield from self.g.edge_range(ctx, v)
+                    start, end = yield self.g.edge_range(ctx, v)
                     for e in range(start, end):
                         u = yield self.g.edge_target(ctx, e)
                         nbr_bits = yield cur.load(ctx, u)
@@ -58,7 +58,7 @@ class LigraRadii(LigraApp):
                 if any_changed:
                     yield ctx.amo_or(self.changed_addr, 1)
 
-            yield from self.pfor(rt, ctx, body, grain)
+            yield self.pfor(rt, ctx, body, grain)
             changed = yield ctx.load(self.changed_addr)
             if changed == 0:
                 break

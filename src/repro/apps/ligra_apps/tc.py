@@ -48,17 +48,17 @@ class LigraTriangleCounting(LigraApp):
                 yield ctx.work(1)
                 if v <= u:
                     continue
-                local += yield from self._intersect_gt(ctx, u, v)
+                local += yield self._intersect_gt(ctx, u, v)
             if local:
                 yield ctx.amo_add(self.count_addr, local)
 
-        yield from parallel_for(rt, ctx, 0, self.graph.m, body, grain)
+        yield parallel_for(rt, ctx, 0, self.graph.m, body, grain)
 
     def _intersect_gt(self, ctx, u: int, v: int):
         """|adj(u) ∩ adj(v) ∩ {w : w > v}| via two-pointer merge."""
         g = self.g
-        u_start, u_end = yield from g.edge_range(ctx, u)
-        v_start, v_end = yield from g.edge_range(ctx, v)
+        u_start, u_end = yield g.edge_range(ctx, u)
+        v_start, v_end = yield g.edge_range(ctx, v)
         i, j = u_start, v_start
         count = 0
         a = b = None

@@ -31,12 +31,12 @@ class RangeTask(Task):
 
     def execute(self, rt, ctx):
         if self.hi - self.lo <= self.grain:
-            yield from self.body(rt, ctx, self.lo, self.hi)
+            yield self.body(rt, ctx, self.lo, self.hi)
             return
         mid = (self.lo + self.hi) // 2
         left = RangeTask(self.lo, mid, self.grain, self.body)
         right = RangeTask(mid, self.hi, self.grain, self.body)
-        yield from rt.fork_join(ctx, self, [left, right])
+        yield rt.fork_join(ctx, self, [left, right])
 
 
 def parallel_for(rt, ctx, lo: int, hi: int, body: Callable, grain: int = 1):
@@ -49,7 +49,7 @@ def parallel_for(rt, ctx, lo: int, hi: int, body: Callable, grain: int = 1):
     if hi <= lo:
         return
     root = RangeTask(lo, hi, grain, body)
-    yield from rt.run_inline(ctx, root)
+    yield rt.run_inline(ctx, root)
 
 
 def parallel_invoke(rt, ctx, *bodies: Callable):
@@ -57,7 +57,7 @@ def parallel_invoke(rt, ctx, *bodies: Callable):
     if not bodies:
         return
     root = _InvokeAllTask(bodies)
-    yield from rt.run_inline(ctx, root)
+    yield rt.run_inline(ctx, root)
 
 
 class _InvokeAllTask(Task):
@@ -67,4 +67,4 @@ class _InvokeAllTask(Task):
 
     def execute(self, rt, ctx):
         children = [FuncTask(body) for body in self.bodies]
-        yield from rt.fork_join(ctx, self, children)
+        yield rt.fork_join(ctx, self, children)

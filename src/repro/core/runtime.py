@@ -28,6 +28,7 @@ from typing import Dict, List, Optional
 from repro.core.chaselev import ChaseLevDeque
 from repro.core.task import Task
 from repro.core.taskqueue import TaskDeque
+from repro.cores.context import drive
 from repro.engine.simulator import SimulationError
 from repro.engine.watchdog import Watchdog
 from repro.machine import Machine
@@ -170,20 +171,20 @@ class WorkStealingRuntime:
         if self.deque_kind == "chase-lev":
             # Lock-free publication; the push itself flushes user data on
             # protocols that need it before the tail becomes visible.
-            yield from dq.push(ctx, task.task_id)
+            yield dq.push(ctx, task.task_id)
         elif self.variant == "hw":
-            yield from dq.lock_acquire(ctx)
-            yield from dq.enqueue(ctx, task.task_id)
+            yield dq.lock_acquire(ctx)
+            yield dq.enqueue(ctx, task.task_id)
             yield dq.lock_release(ctx)
         elif self.variant == "hcc":
-            yield from dq.lock_acquire(ctx)
+            yield dq.lock_acquire(ctx)
             yield ctx.cache_invalidate()
-            yield from dq.enqueue(ctx, task.task_id)
+            yield dq.enqueue(ctx, task.task_id)
             yield ctx.cache_flush()
             yield dq.lock_release(ctx)
         else:  # dts
             yield ctx.uli_disable()
-            yield from dq.enqueue(ctx, task.task_id)
+            yield dq.enqueue(ctx, task.task_id)
             yield ctx.uli_enable()
             if not self.dts_elide_queue_sync:
                 # Ablation: keep the conservative per-spawn flush.
@@ -192,11 +193,11 @@ class WorkStealingRuntime:
     def wait(self, ctx, parent: Task):
         """Figure 3 ``task::wait``: scheduling loop until children join."""
         if self.variant == "hw":
-            yield from self._wait_hw(ctx, parent)
+            yield self._wait_hw(ctx, parent)
         elif self.variant == "hcc":
-            yield from self._wait_hcc(ctx, parent)
+            yield self._wait_hcc(ctx, parent)
         else:
-            yield from self._wait_dts(ctx, parent)
+            yield self._wait_dts(ctx, parent)
 
     def fork_join(self, ctx, parent: Task, children: List[Task]):
         """Spawn ``children`` of ``parent`` and wait for all of them.
@@ -210,24 +211,24 @@ class WorkStealingRuntime:
             # Serial elision: children are plain nested calls.
             for child in children:
                 self.register_task(child, parent)
-                yield from child.execute(self, ctx)
+                yield child.execute(self, ctx)
             return
         yield ctx.store(parent.rc_addr, len(children))
         for child in children:
             self.register_task(child, parent)
-            yield from self._init_descriptor(ctx, child)
+            yield self._init_descriptor(ctx, child)
         for child in children:
-            yield from self.spawn(ctx, child)
-        yield from self.wait(ctx, parent)
+            yield self.spawn(ctx, child)
+        yield self.wait(ctx, parent)
 
     def run_inline(self, ctx, task: Task):
         """Execute a fresh parentless task on the current thread."""
         self.register_task(task, parent=None)
         if self.serial_elision:
-            yield from task.execute(self, ctx)
+            yield task.execute(self, ctx)
             return
-        yield from self._init_descriptor(ctx, task)
-        yield from self._run_task(ctx, task)
+        yield self._init_descriptor(ctx, task)
+        yield self._run_task(ctx, task)
 
     # ------------------------------------------------------------------
     # Task execution
@@ -251,7 +252,7 @@ class WorkStealingRuntime:
         for i in range(task.ARG_WORDS):
             yield ctx.load(task.arg_addr(i))
         yield ctx.work(TASK_START_OVERHEAD)
-        yield from task.execute(self, ctx)
+        yield task.execute(self, ctx)
         core.spinning = spin_prev
         if self._tracing:
             self.tracer.task_end(ctx.tid, self.machine.sim.now)
@@ -292,17 +293,17 @@ class WorkStealingRuntime:
     def _poll_local_hw(self, ctx):
         dq = self.deques[ctx.tid]
         if self.deque_kind == "chase-lev":
-            task_id = yield from dq.take(ctx)
+            task_id = yield dq.take(ctx)
         else:
-            yield from dq.lock_acquire(ctx)
-            task_id = yield from dq.dequeue_tail(ctx)
+            yield dq.lock_acquire(ctx)
+            task_id = yield dq.dequeue_tail(ctx)
             yield dq.lock_release(ctx)
         if not task_id:
             return False
         task = self.tasks[task_id]
         self.stats.add("local_dequeues")
-        yield from self._run_task(ctx, task)
-        yield from self._decrement_parent_amo(ctx, task)
+        yield self._run_task(ctx, task)
+        yield self._decrement_parent_amo(ctx, task)
         return True
 
     def _steal_hw(self, ctx):
@@ -321,10 +322,10 @@ class WorkStealingRuntime:
         vid = self._choose_victim(ctx)
         vdq = self.deques[vid]
         if self.deque_kind == "chase-lev":
-            task_id = yield from vdq.steal(ctx)
+            task_id = yield vdq.steal(ctx)
         else:
-            yield from vdq.lock_acquire(ctx)
-            task_id = yield from vdq.steal_head(ctx)
+            yield vdq.lock_acquire(ctx)
+            task_id = yield vdq.steal_head(ctx)
             yield vdq.lock_release(ctx)
         if not task_id:
             yield self._steal_backoff(ctx)
@@ -337,8 +338,8 @@ class WorkStealingRuntime:
                 ctx.tid, vid, task_id, ctx._steal_start,
                 self.machine.sim.now, self.variant,
             )
-        yield from self._run_task(ctx, task)
-        yield from self._decrement_parent_amo(ctx, task)
+        yield self._run_task(ctx, task)
+        yield self._decrement_parent_amo(ctx, task)
         return True
 
     def _wait_hw(self, ctx, parent: Task):
@@ -351,9 +352,9 @@ class WorkStealingRuntime:
             if rc <= 0:
                 core.spinning = False
                 return
-            executed = yield from self._poll_local_hw(ctx)
+            executed = yield self._poll_local_hw(ctx)
             if not executed:
-                yield from self._steal_hw(ctx)
+                yield self._steal_hw(ctx)
 
     # ------------------------------------------------------------------
     # Variant: heterogeneous cache coherence (Figure 3b)
@@ -363,19 +364,19 @@ class WorkStealingRuntime:
         if self.deque_kind == "chase-lev":
             # Control accesses are AMOs (coherence-point reads), so the
             # whole-cache invalidate/flush pair is unnecessary locally.
-            task_id = yield from dq.take(ctx)
+            task_id = yield dq.take(ctx)
         else:
-            yield from dq.lock_acquire(ctx)
+            yield dq.lock_acquire(ctx)
             yield ctx.cache_invalidate()
-            task_id = yield from dq.dequeue_tail(ctx)
+            task_id = yield dq.dequeue_tail(ctx)
             yield ctx.cache_flush()
             yield dq.lock_release(ctx)
         if not task_id:
             return False
         task = self.tasks[task_id]
         self.stats.add("local_dequeues")
-        yield from self._run_task(ctx, task)
-        yield from self._decrement_parent_amo(ctx, task)
+        yield self._run_task(ctx, task)
+        yield self._decrement_parent_amo(ctx, task)
         return True
 
     def _steal_hcc(self, ctx):
@@ -390,11 +391,11 @@ class WorkStealingRuntime:
         vid = self._choose_victim(ctx)
         vdq = self.deques[vid]
         if self.deque_kind == "chase-lev":
-            task_id = yield from vdq.steal(ctx)
+            task_id = yield vdq.steal(ctx)
         else:
-            yield from vdq.lock_acquire(ctx)
+            yield vdq.lock_acquire(ctx)
             yield ctx.cache_invalidate()
-            task_id = yield from vdq.steal_head(ctx)
+            task_id = yield vdq.steal_head(ctx)
             yield ctx.cache_flush()
             yield vdq.lock_release(ctx)
         if not task_id:
@@ -411,10 +412,10 @@ class WorkStealingRuntime:
         # The stolen task's parent ran on another thread: invalidate to see
         # its writes, flush afterwards so the parent can see ours.
         yield ctx.cache_invalidate()
-        yield from self._run_task(ctx, task)
+        yield self._run_task(ctx, task)
         if self.break_coherence != "no-thief-flush":
             yield ctx.cache_flush()
-        yield from self._decrement_parent_amo(ctx, task)
+        yield self._decrement_parent_amo(ctx, task)
         return True
 
     def _wait_hcc(self, ctx, parent: Task):
@@ -426,9 +427,9 @@ class WorkStealingRuntime:
             rc = yield ctx.amo_or(parent.rc_addr, 0)
             if rc <= 0:
                 break
-            executed = yield from self._poll_local_hcc(ctx)
+            executed = yield self._poll_local_hcc(ctx)
             if not executed:
-                yield from self._steal_hcc(ctx)
+                yield self._steal_hcc(ctx)
         core.spinning = False
         # A child may have been stolen and executed remotely: invalidate so
         # the parent sees its children's writes (DAG consistency, req. 2).
@@ -441,14 +442,14 @@ class WorkStealingRuntime:
     def _poll_local_dts(self, ctx):
         dq = self.deques[ctx.tid]
         yield ctx.uli_disable()
-        task_id = yield from dq.dequeue_tail(ctx)
+        task_id = yield dq.dequeue_tail(ctx)
         yield ctx.uli_enable()
         if not task_id:
             return False
         task = self.tasks[task_id]
         self.stats.add("local_dequeues")
-        yield from self._run_task(ctx, task)
-        yield from self._finish_child_dts(ctx, task)
+        yield self._run_task(ctx, task)
+        yield self._finish_child_dts(ctx, task)
         return True
 
     def _finish_child_dts(self, ctx, task: Task):
@@ -456,11 +457,11 @@ class WorkStealingRuntime:
         if task.parent is None:
             return
         if not self.dts_elide_parent_sync:
-            yield from self._decrement_parent_amo(ctx, task)
+            yield self._decrement_parent_amo(ctx, task)
             return
         hsc = yield ctx.load(task.parent.hsc_addr)
         if hsc:
-            yield from self._decrement_parent_amo(ctx, task)
+            yield self._decrement_parent_amo(ctx, task)
         else:
             rc = yield ctx.load(task.parent.rc_addr)
             yield ctx.store(task.parent.rc_addr, rc - 1)
@@ -493,10 +494,10 @@ class WorkStealingRuntime:
                 self.machine.sim.now, self.variant,
             )
         yield ctx.cache_invalidate()
-        yield from self._run_task(ctx, task)
+        yield self._run_task(ctx, task)
         if self.break_coherence != "no-thief-flush":
             yield ctx.cache_flush()
-        yield from self._decrement_parent_amo(ctx, task)
+        yield self._decrement_parent_amo(ctx, task)
         return True
 
     def _wait_dts(self, ctx, parent: Task):
@@ -508,9 +509,9 @@ class WorkStealingRuntime:
         while rc > 0:
             if self._tracing:
                 self.tracer.core_state(ctx.tid, self.machine.sim.now, "waiting")
-            executed = yield from self._poll_local_dts(ctx)
+            executed = yield self._poll_local_dts(ctx)
             if not executed:
-                yield from self._steal_dts(ctx)
+                yield self._steal_dts(ctx)
             if self.dts_elide_parent_sync:
                 hsc = yield ctx.load(parent.hsc_addr)
             else:
@@ -547,9 +548,9 @@ class WorkStealingRuntime:
             core.spinning = True
             self.stats.add("uli_handler_runs")
             if self.handler_steals_tail:
-                task_id = yield from dq.dequeue_tail(ctx)
+                task_id = yield dq.dequeue_tail(ctx)
             else:
-                task_id = yield from dq.steal_head(ctx)
+                task_id = yield dq.steal_head(ctx)
             if task_id:
                 # Only a successful export is watchdog progress: a wedged
                 # victim still answers steal requests with NACKs forever.
@@ -562,7 +563,7 @@ class WorkStealingRuntime:
                 self.stats.add("uli_tasks_exported")
             core.spinning = spin_prev
 
-        return handler
+        return lambda thief_core_id: drive(handler(thief_core_id))
 
     # ------------------------------------------------------------------
     # Threads and program execution
@@ -570,7 +571,7 @@ class WorkStealingRuntime:
     def _main_thread(self, ctx, root: Task):
         if self.variant == "dts":
             yield ctx.uli_enable()
-        yield from self.run_inline(ctx, root)
+        yield self.run_inline(ctx, root)
         self.done = True
 
     def _worker_thread(self, ctx):
@@ -590,9 +591,9 @@ class WorkStealingRuntime:
         while not self.done:
             if self._tracing:
                 self.tracer.core_state(ctx.tid, self.machine.sim.now, "waiting")
-            executed = yield from poll(ctx)
+            executed = yield poll(ctx)
             if not executed and not self.done:
-                yield from steal(ctx)
+                yield steal(ctx)
         ctx.core.spinning = False
 
     def run(self, root: Task, main_tid: int = 0) -> int:
@@ -615,9 +616,10 @@ class WorkStealingRuntime:
             if self._tracing:
                 self.tracer.core_state(tid, machine.sim.now, "idle")
             if tid == main_tid:
-                machine.cores[tid].start(self._main_thread(ctx, root))
+                thread = self._main_thread(ctx, root)
             else:
-                machine.cores[tid].start(self._worker_thread(ctx))
+                thread = self._worker_thread(ctx)
+            machine.cores[tid].start(drive(thread))
 
     def resume_run(self) -> int:
         """Drive a restored simulation to completion.

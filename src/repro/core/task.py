@@ -2,9 +2,11 @@
 
 A task is a Python object whose ``execute`` method is a simulated-thread
 generator: it yields the ops that :class:`repro.cores.context.ThreadContext`
-methods return (``v = yield ctx.load(addr)``) and delegates to runtime
-helpers such as ``rt.fork_join`` with ``yield from``.  Each task owns a small *descriptor block* in simulated shared
-memory holding the fields the runtime synchronizes on:
+methods return (``v = yield ctx.load(addr)``) and calls runtime helpers
+such as ``rt.fork_join`` with the same ``yield`` (a yielded generator is a
+sub-call; see :func:`repro.cores.context.drive`).  Each task owns a small
+*descriptor block* in simulated shared memory holding the fields the
+runtime synchronizes on:
 
 * ``rc``  (+0)  — the reference count of unfinished children, updated with
   AMOs (or plain stores under the DTS optimization);
@@ -72,4 +74,4 @@ class FuncTask(Task):
         self.fn = fn
 
     def execute(self, rt, ctx):
-        yield from self.fn(rt, ctx)
+        yield self.fn(rt, ctx)

@@ -10,8 +10,13 @@ the generator with the op's result once the op's latency has elapsed::
         yield ctx.store(self.addr, n + 1)
 
 Runtime and application helpers that issue several ops (``rt.fork_join``,
-``parallel_for``, a deque's ``push``) stay generators and are delegated to
-with ``yield from``.
+``parallel_for``, a deque's ``push``) stay generators, and thread code calls
+them with the same ``yield``: ``task_id = yield dq.steal(ctx)``.  Every
+thread generator runs under :func:`drive`, which treats a yielded generator
+as a sub-call on an explicit stack, so an op resumes two frames (the driver
+and the innermost generator) however deep the task nesting.  ``yield from``
+still works inside driven code, but each delegating level adds a frame that
+every op passes through.
 
 ``work(n)`` and ``idle(n)`` with ``n <= 0`` return None instead of an op.
 The core answers a yielded None with None at once: it costs no cycles,
@@ -23,10 +28,66 @@ selection, keeping all randomness deterministic per run.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from types import GeneratorType
+from typing import Any, Generator, Optional
 
 from repro.engine.rng import XorShift64
 from repro.cores import ops
+
+
+def drive(root: Generator) -> Generator:
+    """Run thread code ``root`` on an explicit stack of generators.
+
+    A generator yielded by the running frame is a sub-call: it is pushed,
+    run to its return, and its return value is sent to the caller.  Any
+    other yielded value (an op, or None) passes out to the core, and the
+    core's answer is sent back into the innermost frame.  An exception
+    leaving a sub-call is thrown into its caller, and one thrown into the
+    driver (``close()`` included) goes to the innermost frame, exactly as
+    a ``yield from`` chain would propagate them.  Returns ``root``'s
+    return value.
+    """
+    generator = GeneratorType
+    stack = []
+    push = stack.append
+    pop = stack.pop
+    frame = root
+    send = frame.send
+    value = None
+    error = None
+    while True:
+        try:
+            if error is None:
+                out = send(value)
+            else:
+                exc, error = error, None
+                out = frame.throw(exc)
+            # Runs of ops stay in this inner loop: one send and one yield
+            # per op.
+            while out.__class__ is not generator:
+                try:
+                    value = yield out
+                except BaseException as exc:
+                    error = exc
+                    break
+                out = send(value)
+            else:
+                push(frame)
+                frame = out
+                send = frame.send
+                value = None
+        except StopIteration as stop:
+            if not stack:
+                return stop.value
+            frame = pop()
+            send = frame.send
+            value = stop.value
+        except BaseException as exc:
+            if not stack:
+                raise
+            frame = pop()
+            send = frame.send
+            error = exc
 
 
 class ThreadContext:

@@ -123,13 +123,13 @@ APP_PARAMS: Dict[str, Dict[str, dict]] = {
 TABLE5_APPS = ("cilk5-cs", "ligra-bc", "ligra-bfs", "ligra-cc", "ligra-tc")
 
 
-def app_params(app_name: str, scale: str, **overrides) -> dict:
+def app_params(app_name: str, scale: str, /, **overrides) -> dict:
     params = dict(APP_PARAMS[app_name][scale])
     params.update(overrides)
     return params
 
 
-def init_signature(app_name: str, scale: str, **overrides) -> str:
+def init_signature(app_name: str, scale: str, /, **overrides) -> str:
     """Digest identifying an app's init (setup) phase for warm starts.
 
     Two experiments share an init snapshot exactly when this matches: the

@@ -876,7 +876,7 @@ def run_serial_baseline(app_name: str, scale: str, **kwargs) -> ExperimentResult
     return run_experiment(app_name, "serial-io", scale, serial=True, **kwargs)
 
 
-def workspan(app_name: str, scale: str, **overrides) -> WorkSpanReport:
+def workspan(app_name: str, scale: str, /, **overrides) -> WorkSpanReport:
     """Cilkview work/span analysis of the app at this scale's input."""
     key = (app_name, scale, canonicalize(overrides))
     if key in _WORKSPAN_CACHE:

@@ -21,7 +21,14 @@ from repro.cores.core import Core
 from repro.engine.rng import XorShift64
 from repro.engine.simulator import Simulator
 from repro.engine.stats import StatGroup
-from repro.mem.address import WORD_BYTES, WORDS_PER_LINE, AddressSpace
+from repro.mem.address import (
+    LINE_MASK,
+    WORD_BYTES,
+    WORD_INDEX_MASK,
+    WORD_SHIFT,
+    WORDS_PER_LINE,
+    AddressSpace,
+)
 from repro.mem.backing import MainMemory
 from repro.mem.dram import DramController
 from repro.mem.l1 import PROTOCOLS
@@ -257,14 +264,37 @@ class Machine:
 
     def host_read_word(self, addr: int) -> int:
         """Coherent post-run read: checks L1 owners, then L2, then DRAM."""
-        for l1 in self.l1s:
-            line = l1.resident(addr)
-            if line is not None and line.word_dirty(self._word_idx(addr)):
-                return line.data[self._word_idx(addr)]
-        return self.l2.peek_word(addr)
+        return self.host_read_array(addr, 1)[0]
 
     def host_read_array(self, base: int, n_words: int) -> List[int]:
-        return [self.host_read_word(base + i * WORD_BYTES) for i in range(n_words)]
+        """Coherent post-run read of ``n_words`` words from ``base``.
+
+        Each word comes from the first L1 in ``self.l1s`` order holding it
+        dirty, else from the L2 or DRAM.  The L1s are probed once per
+        line, not once per word.
+        """
+        l1s = self.l1s
+        peek_word = self.l2.peek_word
+        out = []
+        line_base = None
+        for i in range(n_words):
+            addr = base + i * WORD_BYTES
+            if addr & LINE_MASK != line_base:
+                line_base = addr & LINE_MASK
+                holders = [
+                    line
+                    for line in (l1.tags.peek(line_base) for l1 in l1s)
+                    if line is not None and line.dirty_mask
+                ]
+            idx = (addr >> WORD_SHIFT) & WORD_INDEX_MASK
+            bit = 1 << idx
+            for line in holders:
+                if line.dirty_mask & bit:
+                    out.append(line.data[idx])
+                    break
+            else:
+                out.append(peek_word(addr))
+        return out
 
     def memory_digest(self, regions) -> str:
         """sha256 over the coherent view of ``regions`` (fuzz end-state check).
@@ -280,12 +310,6 @@ class Machine:
             for word in self.host_read_array(region.base, region.size // WORD_BYTES):
                 h.update((word & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
         return h.hexdigest()
-
-    @staticmethod
-    def _word_idx(addr: int) -> int:
-        from repro.mem.address import word_index
-
-        return word_index(addr)
 
     # ------------------------------------------------------------------
     # Aggregates for the harness

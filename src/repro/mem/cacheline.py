@@ -170,6 +170,16 @@ class TagArray:
         for cache_set in self._sets:
             yield from list(cache_set.values())
 
+    def sets(self) -> List[Dict[int, CacheLine]]:
+        """The per-set ``{line address: line}`` dicts, in set order.
+
+        For whole-cache walks (flash invalidate, flush) that visit every
+        line without the per-set copy :meth:`lines` makes.  A set must not
+        change size while it is being iterated: collect the addresses to
+        drop, then delete them from the set after its loop.
+        """
+        return self._sets
+
     def resident_count(self) -> int:
         return sum(len(s) for s in self._sets)
 

@@ -106,10 +106,11 @@ class DeNovoL1(L1Cache):
         """Drop every valid-but-unowned line (reader-initiated invalidation)."""
         self.stats.add("invalidate_ops")
         dropped = 0
-        for line in self.tags.lines():
-            if line.state == VALID:
-                self.tags.remove(line.addr)
-                dropped += 1
+        for cache_set in self.tags.sets():
+            clean = [addr for addr, line in cache_set.items() if line.state == VALID]
+            for addr in clean:
+                del cache_set[addr]
+            dropped += len(clean)
         self.stats.add("lines_invalidated", dropped)
         self._trace_burst("invalidate", now, dropped, self.FLASH_OP_LATENCY)
         return self.FLASH_OP_LATENCY

@@ -111,13 +111,18 @@ class GpuWbL1(L1Cache):
         """Invalidate clean words everywhere; dirty words survive."""
         self.stats.add("invalidate_ops")
         dropped = 0
-        for line in self.tags.lines():
-            if line.dirty_mask == 0:
-                self.tags.remove(line.addr)
-                dropped += 1
-            elif line.valid_mask != line.dirty_mask:
-                line.valid_mask = line.dirty_mask
-                dropped += 1
+        for cache_set in self.tags.sets():
+            clean = []
+            for addr, line in cache_set.items():
+                dirty = line.dirty_mask
+                if dirty == 0:
+                    clean.append(addr)
+                elif line.valid_mask != dirty:
+                    line.valid_mask = dirty
+                    dropped += 1
+            for addr in clean:
+                del cache_set[addr]
+            dropped += len(clean)
         self.stats.add("lines_invalidated", dropped)
         self._trace_burst("invalidate", now, dropped, self.FLASH_OP_LATENCY)
         return self.FLASH_OP_LATENCY
@@ -127,16 +132,17 @@ class GpuWbL1(L1Cache):
         self.stats.add("flush_ops")
         flushed = 0
         worst_injection = 0
-        for line in self.tags.lines():
-            if line.dirty_mask == 0:
-                continue
-            injection = self.l2.writeback_line(
-                self.core_id, line.addr, line.data, line.dirty_mask,
-                now, release_ownership=False,
-            )
-            worst_injection = max(worst_injection, injection)
-            line.dirty_mask = 0
-            flushed += 1
+        for cache_set in self.tags.sets():
+            for line in cache_set.values():
+                if line.dirty_mask == 0:
+                    continue
+                injection = self.l2.writeback_line(
+                    self.core_id, line.addr, line.data, line.dirty_mask,
+                    now, release_ownership=False,
+                )
+                worst_injection = max(worst_injection, injection)
+                line.dirty_mask = 0
+                flushed += 1
         self.stats.add("lines_flushed", flushed)
         latency = (
             self.FLASH_OP_LATENCY + worst_injection

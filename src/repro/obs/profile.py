@@ -16,6 +16,7 @@ layer                    frames
                          ``_resume`` loop, ULI handler entry and exit
 ``core.ops``             ``Core._op_*`` dispatch bodies, plus the op
                          objects and thread context in ``cores/``
+                         (``drive``, the sub-call stack, included)
 ``engine.fastforward``   ``Core._resume_ff`` and ``sampling/``
 ``engine.loop``          ``engine/simulator.py`` and the other engine
                          daemons (watchdog, checkpointing)

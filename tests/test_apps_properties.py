@@ -10,6 +10,7 @@ from repro.analysis import CilkviewAnalyzer
 from repro.apps import make_app
 from repro.apps.cilk5.nqueens import NQ_SOLUTIONS, CilkNQueens
 from repro.apps.ligra.graph import HostGraph, rmat, rmat_graph
+from repro.engine.rng import XorShift64
 
 
 def run_functionally(app):
@@ -96,6 +97,42 @@ def test_rmat_edges_in_range(scale, degree, seed):
 @given(st.integers(2, 8), st.integers(0, 2**32))
 def test_rmat_deterministic(scale, seed):
     assert rmat(scale, 4, seed) == rmat(scale, 4, seed)
+
+
+def _rmat_reference(scale, avg_degree, seed, a=0.57, b=0.19, c=0.19):
+    """The float-threshold R-MAT loop that ``rmat`` must reproduce."""
+    n = 1 << scale
+    rng = XorShift64(seed)
+    edges = []
+    for _ in range(n * avg_degree):
+        u = v = 0
+        half = n >> 1
+        while half:
+            r = rng.random()
+            if r < a:
+                pass
+            elif r < a + b:
+                v += half
+            elif r < a + b + c:
+                u += half
+            else:
+                u += half
+                v += half
+            half >>= 1
+        edges.append((u, v))
+    return edges
+
+
+def test_rmat_matches_float_reference():
+    for seed in (0, 1, 42, 2**63 + 12345):
+        for degree in (1, 8):
+            for scale in range(12):
+                assert rmat(scale, degree, seed) == _rmat_reference(
+                    scale, degree, seed
+                ), (scale, degree, seed)
+    # Other quadrant splits, including an exactly representable one.
+    for a, b, c in ((0.25, 0.25, 0.25), (0.45, 0.15, 0.15), (0.5, 0.0, 0.5)):
+        assert rmat(9, 4, 7, a, b, c) == _rmat_reference(9, 4, 7, a, b, c)
 
 
 @given(st.integers(2, 7), st.integers(1, 6), st.integers(0, 2**32))

@@ -95,6 +95,23 @@ class TestMachine:
         machine.l1s[1].store(addr, 77, 0)  # dirty, unflushed
         assert machine.host_read_word(addr) == 77
 
+    def test_host_read_array_takes_first_dirty_l1_per_word(self):
+        machine = Machine(make_config("bt-hcc-gwb", "tiny"))
+        base = machine.address_space.alloc_words(16, "x")  # two lines
+        machine.host_write_array(base, list(range(100, 116)))
+        machine.l1s[3].load(base + 8, 0)  # clean holder of line 0
+        machine.l1s[2].store(base, 20, 1)
+        machine.l1s[2].store(base + 3 * 8, 23, 2)
+        machine.l1s[1].store(base + 3 * 8, 13, 3)  # same word, earlier L1
+        machine.l1s[1].store(base + 5 * 8, 15, 4)
+        machine.l1s[2].store(base + 9 * 8, 29, 5)  # line 1
+        expected = list(range(100, 116))
+        expected[0], expected[3], expected[5], expected[9] = 20, 13, 15, 29
+        # Unaligned window crossing the line boundary, and single words.
+        assert machine.host_read_array(base, 16) == expected
+        assert machine.host_read_array(base + 2 * 8, 9) == expected[2:11]
+        assert [machine.host_read_word(base + i * 8) for i in range(16)] == expected
+
     def test_tiny_core_ids(self):
         machine = Machine(make_config("bt-mesi", "tiny"))
         assert machine.tiny_core_ids() == [1, 2, 3]

@@ -27,6 +27,7 @@ from repro.harness import (
     workspan,
 )
 from repro.cores.core import TIME_CATEGORIES
+from repro.harness.params import init_signature
 from repro.mem.traffic import CATEGORIES
 
 APPS2 = ("cilk5-mt", "ligra-bfs")
@@ -68,6 +69,24 @@ class TestRunner:
     def test_app_params_overrides(self):
         params = app_params("cilk5-mt", "tiny", grain=2)
         assert params["grain"] == 2
+
+    def test_scale_named_app_parameter_can_be_overridden(self):
+        # Every Ligra app names its R-MAT size ``scale``, the same name as
+        # the harness's input-size argument.
+        default = app_params("ligra-bfs", "tiny")
+        bigger = default["scale"] + 2
+        assert app_params("ligra-bfs", "tiny", scale=bigger) == {**default, "scale": bigger}
+        assert init_signature("ligra-bfs", "tiny", scale=bigger) != init_signature(
+            "ligra-bfs", "tiny"
+        )
+        base = run_experiment("ligra-bfs", "bt-mesi", "tiny")
+        res = run_experiment(
+            "ligra-bfs", "bt-mesi", "tiny", app_overrides={"scale": bigger}
+        )
+        assert res.tasks > base.tasks and res.instructions > base.instructions
+        assert workspan("ligra-bfs", "tiny", scale=bigger).work > workspan(
+            "ligra-bfs", "tiny"
+        ).work
 
 
 class TestTables:

@@ -210,3 +210,123 @@ class TestGpuWb:
         assert machine.l1s[1].LOCK_RELEASE_AMO is True
         mesi_machine, _ = fresh("bt-mesi")
         assert mesi_machine.l1s[1].LOCK_RELEASE_AMO is False
+
+
+# ----------------------------------------------------------------------
+# Whole-cache walks against the per-line reference
+# ----------------------------------------------------------------------
+def _reference_gwb_invalidate(l1, now):
+    """GpuWbL1.invalidate_all as a walk over ``tags.lines()`` snapshots."""
+    l1.stats.add("invalidate_ops")
+    dropped = 0
+    for line in l1.tags.lines():
+        if line.dirty_mask == 0:
+            l1.tags.remove(line.addr)
+            dropped += 1
+        elif line.valid_mask != line.dirty_mask:
+            line.valid_mask = line.dirty_mask
+            dropped += 1
+    l1.stats.add("lines_invalidated", dropped)
+    return l1.FLASH_OP_LATENCY
+
+
+def _reference_gwb_flush(l1, now):
+    """GpuWbL1.flush_all as a walk over ``tags.lines()`` snapshots."""
+    l1.stats.add("flush_ops")
+    flushed = 0
+    worst_injection = 0
+    for line in l1.tags.lines():
+        if line.dirty_mask == 0:
+            continue
+        injection = l1.l2.writeback_line(
+            l1.core_id, line.addr, line.data, line.dirty_mask,
+            now, release_ownership=False,
+        )
+        worst_injection = max(worst_injection, injection)
+        line.dirty_mask = 0
+        flushed += 1
+    l1.stats.add("lines_flushed", flushed)
+    return l1.FLASH_OP_LATENCY + worst_injection + l1.FLUSH_PER_LINE_CYCLES * flushed
+
+
+def _reference_dnv_invalidate(l1, now):
+    """DeNovoL1.invalidate_all as a walk over ``tags.lines()`` snapshots."""
+    l1.stats.add("invalidate_ops")
+    dropped = 0
+    for line in l1.tags.lines():
+        if line.state == VALID:
+            l1.tags.remove(line.addr)
+            dropped += 1
+    l1.stats.add("lines_invalidated", dropped)
+    return l1.FLASH_OP_LATENCY
+
+
+def _mixed_l1(kind):
+    """Core 1's L1 holding 48 lines (two per set in half the sets) of mixed
+    kinds: clean, written without a fetch, and fetched then partly written.
+    Writebacks reaching the L2 are recorded in order."""
+    machine = tiny_machine(kind)
+    l1 = machine.l1s[1]
+    base = machine.address_space.alloc(48 * 64, "walk")
+    now = 0
+    for i in range(48):
+        addr = base + i * 64
+        if i % 4 != 1:
+            l1.load(addr, now)
+            now += 1
+        for word in range(i % 4 if i % 4 != 1 else 1):
+            l1.store(addr + 8 * (word * 3 % 8), i * 10 + word, now)
+            now += 1
+    writebacks = []
+    real = machine.l2.writeback_line
+
+    def spy(core_id, address, words, mask, now, release_ownership):
+        writebacks.append((core_id, address, list(words), mask, now))
+        return real(core_id, address, words, mask, now, release_ownership)
+
+    machine.l2.writeback_line = spy
+    return machine, l1, writebacks
+
+
+def _observe(machine, l1, writebacks):
+    lines = [
+        (ln.addr, ln.state, ln.valid_mask, ln.dirty_mask, list(ln.data))
+        for ln in l1.tags.lines()
+    ]
+    counters = {k: l1.stats.get(k) for k in ("lines_invalidated", "lines_flushed")}
+    return lines, counters, list(writebacks), machine.l2.traffic.snapshot()
+
+
+class TestWholeCacheWalks:
+    def test_gwb_invalidate_then_flush_match_reference(self):
+        machine, l1, wbs = _mixed_l1("bt-hcc-gwb")
+        ref_machine, ref_l1, ref_wbs = _mixed_l1("bt-hcc-gwb")
+        before = _observe(machine, l1, wbs)
+        assert before == _observe(ref_machine, ref_l1, ref_wbs)
+        assert len({ln[3] == 0 for ln in before[0]}) == 2  # clean and dirty
+        assert l1.invalidate_all(100) == _reference_gwb_invalidate(ref_l1, 100)
+        after_inv = _observe(machine, l1, wbs)
+        assert after_inv == _observe(ref_machine, ref_l1, ref_wbs)
+        assert 0 < len(after_inv[0]) < len(before[0])
+        assert l1.flush_all(200) == _reference_gwb_flush(ref_l1, 200)
+        after_flush = _observe(machine, l1, wbs)
+        assert after_flush == _observe(ref_machine, ref_l1, ref_wbs)
+        assert after_flush[1]["lines_flushed"] == len(after_flush[2]) > 1
+        assert after_flush[3]["wb_req"] > 0
+
+    def test_gwb_flush_of_mixed_lines_matches_reference(self):
+        machine, l1, wbs = _mixed_l1("bt-hcc-gwb")
+        ref_machine, ref_l1, ref_wbs = _mixed_l1("bt-hcc-gwb")
+        assert l1.flush_all(100) == _reference_gwb_flush(ref_l1, 100)
+        assert _observe(machine, l1, wbs) == _observe(ref_machine, ref_l1, ref_wbs)
+        assert wbs
+
+    def test_dnv_invalidate_matches_reference(self):
+        machine, l1, wbs = _mixed_l1("bt-hcc-dnv")
+        ref_machine, ref_l1, ref_wbs = _mixed_l1("bt-hcc-dnv")
+        states = {ln.state for ln in l1.tags.lines()}
+        assert states == {VALID, REGISTERED}
+        assert l1.invalidate_all(100) == _reference_dnv_invalidate(ref_l1, 100)
+        after = _observe(machine, l1, wbs)
+        assert after == _observe(ref_machine, ref_l1, ref_wbs)
+        assert after[0] and after[1]["lines_invalidated"] > 0
