@@ -40,14 +40,11 @@ class EnergyReport:
         return self.total_pj / max(1e-12, other.total_pj)
 
 
-def energy_counts(machine: Machine) -> Dict[str, float]:
-    """Raw activity counts the energy model is a linear function of.
-
-    Split out from :func:`estimate_energy` so the sampled-simulation
-    estimator (repro.sampling) can delta these counts over detailed
-    windows and extrapolate them before pricing — the coefficients apply
-    to counts, not to machines.
-    """
+def estimate_energy(machine: Machine, coefficients: Dict[str, float] = None) -> EnergyReport:
+    """Estimate the energy of a completed simulation on ``machine``."""
+    c = dict(DEFAULT_ENERGY_PJ)
+    if coefficients:
+        c.update(coefficients)
     tiny_busy = big_busy = tiny_idle = big_idle = 0
     for core in machine.cores:
         busy = core.busy_cycles()
@@ -63,48 +60,25 @@ def energy_counts(machine: Machine) -> Dict[str, float]:
         l1_accesses += (
             l1.stats.get("loads") + l1.stats.get("stores") + l1.stats.get("amos")
         )
-    return {
-        "tiny_busy_cycles": tiny_busy,
-        "big_busy_cycles": big_busy,
-        "tiny_idle_cycles": tiny_idle,
-        "big_idle_cycles": big_idle,
-        "l1_accesses": l1_accesses,
-        "l2_accesses": (
-            machine.l2.stats.get("accesses") + machine.l2.stats.get("writebacks")
-        ),
-        "dram_accesses": sum(mc.stats.get("accesses") for mc in machine.l2.dram),
-        "noc_byte_hops": machine.traffic.total_byte_hops(),
-        "uli_messages": machine.stats.child("uli_network").get("messages"),
-    }
-
-
-def energy_from_counts(
-    counts: Dict[str, float], coefficients: Dict[str, float] = None
-) -> EnergyReport:
-    """Price a set of activity counts (see :func:`energy_counts`)."""
-    c = dict(DEFAULT_ENERGY_PJ)
-    if coefficients:
-        c.update(coefficients)
+    l2_accesses = machine.l2.stats.get("accesses") + machine.l2.stats.get("writebacks")
+    dram_accesses = sum(mc.stats.get("accesses") for mc in machine.l2.dram)
     breakdown: Dict[str, float] = {}
 
     # Core energy: active cycles at full rate, idle cycles clock-gated.
     breakdown["cores"] = (
-        counts["tiny_busy_cycles"] * c["tiny_core_cycle"]
-        + counts["big_busy_cycles"] * c["big_core_cycle"]
-        + counts["tiny_idle_cycles"] * c["tiny_core_cycle"] * c["idle_cycle_factor"]
-        + counts["big_idle_cycles"] * c["big_core_cycle"] * c["idle_cycle_factor"]
+        tiny_busy * c["tiny_core_cycle"]
+        + big_busy * c["big_core_cycle"]
+        + tiny_idle * c["tiny_core_cycle"] * c["idle_cycle_factor"]
+        + big_idle * c["big_core_cycle"] * c["idle_cycle_factor"]
     )
     # L1 energy: every load/store/AMO touches the array once.
-    breakdown["l1"] = counts["l1_accesses"] * c["l1_access"]
-    breakdown["l2"] = counts["l2_accesses"] * c["l2_access"]
-    breakdown["dram"] = counts["dram_accesses"] * c["dram_access"]
+    breakdown["l1"] = l1_accesses * c["l1_access"]
+    breakdown["l2"] = l2_accesses * c["l2_access"]
+    breakdown["dram"] = dram_accesses * c["dram_access"]
     # NoC energy: proportional to byte-hops.
-    breakdown["noc"] = counts["noc_byte_hops"] * c["noc_byte_hop"]
-    breakdown["uli"] = counts["uli_messages"] * c["uli_message"]
+    breakdown["noc"] = machine.traffic.total_byte_hops() * c["noc_byte_hop"]
+    breakdown["uli"] = (
+        machine.stats.child("uli_network").get("messages") * c["uli_message"]
+    )
 
     return EnergyReport(total_pj=sum(breakdown.values()), breakdown_pj=breakdown)
-
-
-def estimate_energy(machine: Machine, coefficients: Dict[str, float] = None) -> EnergyReport:
-    """Estimate the energy of a completed simulation on ``machine``."""
-    return energy_from_counts(energy_counts(machine), coefficients)

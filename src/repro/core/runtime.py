@@ -234,10 +234,9 @@ class WorkStealingRuntime:
     # Task execution
     # ------------------------------------------------------------------
     def _run_task(self, ctx, task: Task):
-        # Task bodies and their fixed per-task bookkeeping are *work*: the
-        # instruction counts here are invariant across schedules, unlike
-        # the hunting/polling loops around them whose iteration counts
-        # scale with wait durations (see Core.spinning).
+        # Task bodies and their fixed per-task bookkeeping are *work*, not
+        # spin: their instruction counts do not depend on the schedule,
+        # unlike the hunting/polling loops around them (see Core.spinning).
         core = ctx.core
         spin_prev = core.spinning
         core.spinning = False
@@ -542,7 +541,7 @@ class WorkStealingRuntime:
 
         def handler(thief_core_id: int):
             # Handler runs scale with steal-attempt arrivals (timing), so
-            # their instructions are spin for the sampling estimator.
+            # their instructions count as spin (see Core.spinning).
             core = ctx.core
             spin_prev = core.spinning
             core.spinning = True

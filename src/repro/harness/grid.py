@@ -87,10 +87,6 @@ class GridPoint:
     faults: Optional[object] = None
     sanitize: bool = False
     watchdog: Optional[int] = None
-    #: Periodic-sampling spec string ("U:W:D[:Q]"); None = exact run.
-    #: Kept as the string form so points stay hashable and pickle across
-    #: worker processes; run_experiment coerces it to a SamplingSpec.
-    sampling: Optional[str] = None
     #: Checkpoint spec (CheckpointConfig kwargs dict; kept as plain data so
     #: points pickle across worker processes).  Injected by run_grid's
     #: checkpoint_dir machinery; not part of the experiment's identity.
@@ -110,8 +106,6 @@ class GridPoint:
             parts.append(f"faults={self.faults}")
         if self.sanitize:
             parts.append("sanitize")
-        if self.sampling is not None:
-            parts.append(f"sample={self.sampling}")
         return " ".join(parts)
 
     def as_fields(self) -> dict:
@@ -133,7 +127,6 @@ class GridPoint:
             sanitize=self.sanitize,
             watchdog=self.watchdog,
             checkpoint=self.checkpoint,
-            sampling=self.sampling,
         )
 
 
@@ -584,28 +577,19 @@ def run_grid(
         raise ValueError("warm_init requires checkpoint_dir")
     points = list(points)
     if checkpoint_dir is not None:
-        # Sampled points run without snapshotting: fast-forward slices
-        # advance many ops per event, so their send log cannot be cut at
-        # an event boundary (SamplingController refuses the combination).
-        # They still share the warm-init images — init restore happens
-        # before the first event, identically in both modes.
-        def _spec(point: GridPoint) -> dict:
-            if point.sampling is None:
-                return _point_checkpoint_spec(
+        points = [
+            replace(
+                point,
+                checkpoint=_point_checkpoint_spec(
                     point,
                     checkpoint_dir,
                     checkpoint_interval,
                     resume=(on_error == "resume"),
                     warm_init=warm_init,
-                )
-            return dict(
-                path=None,
-                interval=None,
-                resume=False,
-                init_dir=os.path.join(checkpoint_dir, "init") if warm_init else None,
+                ),
             )
-
-        points = [replace(point, checkpoint=_spec(point)) for point in points]
+            for point in points
+        ]
     if jobs is None:
         jobs = default_jobs()
     meter = _Progress(len(points), termlog.progress_enabled(progress))
@@ -728,7 +712,6 @@ def _run_parallel(
                             faults=slot.point.faults,
                             sanitize=slot.point.sanitize,
                             watchdog=slot.point.watchdog,
-                            sampling=slot.point.sampling,
                         )
                         results[idx] = result
                         meter.step(

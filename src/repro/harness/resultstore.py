@@ -46,11 +46,14 @@ from typing import Optional
 #:    Lineage is payload-only by design: a warm-started or resumed run is
 #:    byte-identical to a cold one, so either must satisfy the other's
 #:    probes.
-#: 4: experiment keys gained "mode" (exact vs sampled plus the sampling
-#:    spec; see repro.sampling).  A sampled result carries *estimated*
-#:    cycles/traffic, so it must never satisfy a probe for an exact run —
-#:    the firewall is the key itself.
-STORE_SCHEMA = 4
+#: 4: experiment keys gained "mode" (exact, or sampled plus the sampling
+#:    spec), so a periodic-sampling estimate of cycles/traffic could never
+#:    satisfy a probe for an exact run.
+#: 5: experiment keys lost "mode": sampled simulation was removed, so
+#:    every result is exact.  The bump retires all schema-4 entries on
+#:    purpose, so no stored sampled estimate can ever be read back as a
+#:    measurement.
+STORE_SCHEMA = 5
 
 #: A default-repr containing a memory address: never stable across runs.
 _ADDRESS_REPR = re.compile(r" at 0x[0-9a-fA-F]+>")

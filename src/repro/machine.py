@@ -26,7 +26,6 @@ from repro.mem.address import (
     WORD_BYTES,
     WORD_INDEX_MASK,
     WORD_SHIFT,
-    WORDS_PER_LINE,
     AddressSpace,
 )
 from repro.mem.backing import MainMemory
@@ -147,9 +146,6 @@ class Machine:
         #: core (see repro.engine.checkpoint).  None = checkpointing off,
         #: which keeps the core hot loop at a single ``is not None`` test.
         self._ckpt_log = None
-        #: Sampling controller backref (repro.sampling): None for exact
-        #: runs.  Observability (heartbeats) reads phase/progress from it.
-        self.sampling = None
 
     # ------------------------------------------------------------------
     # Checkpoint/restore (repro.engine.checkpoint)
@@ -176,70 +172,6 @@ class Machine:
         from repro.engine.checkpoint import restore_run_state
 
         restore_run_state(self, snap, root, main_tid)
-
-    # ------------------------------------------------------------------
-    # Functional fast-forward support (repro.sampling)
-    # ------------------------------------------------------------------
-    def prepare_fastforward(self) -> None:
-        """Make flat memory the single coherent view, keeping the L2 warm.
-
-        Called by the sampling controller when a detailed window ends:
-        after this, ``self.memory`` holds the architectural value of every
-        word and fast-forward slices can read/write it directly.  Not an
-        architectural operation — no latencies, stats, or traffic are
-        charged.
-
-        The L1s are dropped entirely (they are small and re-warm within a
-        few thousand instructions), but the L2 keeps its resident lines as
-        clean, unowned, sharer-free copies — exactly the state
-        ``_ensure_line`` creates on a DRAM fill.  Emptying the L2 as well
-        would force every measurement window to re-fetch the entire warm
-        working set from DRAM, a per-window cold-start bias that for
-        cache-resident, high-IPC workloads dwarfs the true window cost.
-        Lines fast-forward *writes* are purged on exit
-        (:meth:`invalidate_ff_lines`), so surviving lines always match
-        memory.
-
-        Order matters: L2 dirty words go to memory first, then L1 dirty
-        words overwrite them — under SWMR a dirty L1 copy is strictly
-        fresher than any stale L2 copy of the same word.  An L1 dirty
-        word is also patched into any resident L2 copy of its line, which
-        would otherwise go stale the moment its owner's data is only
-        written to memory.
-        """
-        l2 = self.l2
-        for bank in l2.banks:
-            for line in bank.tags.lines():
-                if line.dirty_mask:
-                    self.memory.write_words(line.addr, line.data, line.dirty_mask)
-                    line.dirty_mask = 0
-                line.sharers.clear()
-                line.owner = None
-        for l1 in self.l1s:
-            for line in l1.tags.lines():
-                mask = line.dirty_mask
-                if mask:
-                    self.memory.write_words(line.addr, line.data, mask)
-                    l2line = l2.banks[l2.bank_of(line.addr)].tags.peek(line.addr)
-                    if l2line is not None:
-                        for i in range(WORDS_PER_LINE):
-                            if mask & (1 << i):
-                                l2line.data[i] = line.data[i]
-            l1.tags.clear()
-            l1._store_buffer.clear()
-
-    def invalidate_ff_lines(self, line_addrs) -> None:
-        """Purge L2 copies of lines fast-forward wrote (exit-time fixup).
-
-        The L1s are empty throughout a fast-forward period (dropped on
-        entry, and fast-forward never fills them), so only the warm L2
-        can hold a stale copy of a line whose words fast-forward mutated
-        in flat memory.  Removing the line makes the next detailed access
-        re-fetch it from memory through the ordinary miss path.
-        """
-        l2 = self.l2
-        for base in line_addrs:
-            l2.banks[l2.bank_of(base)].tags.remove(base)
 
     # ------------------------------------------------------------------
     # Thread contexts

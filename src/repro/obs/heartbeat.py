@@ -176,13 +176,6 @@ class HeartbeatWriter:
                 "steal_attempts": rt_stats.get("steal_attempts"),
             },
             "cores": cores,
-            # Periodic-sampling progress (spec, phase, window/period
-            # counts) when the run is sampled; None on exact runs.
-            "sampling": (
-                machine.sampling.progress()
-                if getattr(machine, "sampling", None) is not None
-                else None
-            ),
             "sanitizer": (
                 {"walks": machine.sanitizer.stats.get("walks")}
                 if machine.sanitizer is not None

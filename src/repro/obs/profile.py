@@ -12,12 +12,11 @@ counts toward:
 =======================  ==================================================
 layer                    frames
 =======================  ==================================================
-``core.trampoline``      ``cores/core.py`` outside the two below: the
+``core.trampoline``      ``cores/core.py`` outside ``Core._op_*``: the
                          ``_resume`` loop, ULI handler entry and exit
 ``core.ops``             ``Core._op_*`` dispatch bodies, plus the op
                          objects and thread context in ``cores/``
                          (``drive``, the sub-call stack, included)
-``engine.fastforward``   ``Core._resume_ff`` and ``sampling/``
 ``engine.loop``          ``engine/simulator.py`` and the other engine
                          daemons (watchdog, checkpointing)
 ``engine.rng``           ``engine/rng.py``
@@ -67,7 +66,6 @@ INTERVAL_S = 0.001
 #: Layer of a frame by its path under the package, first match wins.
 _PATH_LAYERS = (
     ("cores/", "core.ops"),
-    ("sampling/", "engine.fastforward"),
     ("engine/rng.py", "engine.rng"),
     ("engine/stats.py", "engine.stats"),
     ("engine/", "engine.loop"),
@@ -99,12 +97,8 @@ def frame_layer(frame) -> str:
         path = code.co_filename
         if path.startswith(_ROOT):
             rel = path[len(_ROOT):]
-            if rel == "cores/core.py":
-                name = code.co_name
-                if name == "_resume_ff":
-                    return "engine.fastforward"
-                if not name.startswith("_op_"):
-                    return "core.trampoline"
+            if rel == "cores/core.py" and not code.co_name.startswith("_op_"):
+                return "core.trampoline"
             for prefix, layer in _PATH_LAYERS:
                 if rel.startswith(prefix):
                     return layer

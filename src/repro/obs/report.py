@@ -22,12 +22,11 @@ from repro.obs.ledger import read_ledger_with_errors
 OUTCOMES = ("ok", "store-hit", "memo-hit", "failed", "parked")
 
 
-def _group_key(entry: dict) -> Tuple[str, str, str, str]:
+def _group_key(entry: dict) -> Tuple[str, str, str]:
     return (
         str(entry.get("app", "?")),
         str(entry.get("kind", "?")),
         str(entry.get("scale", "?")),
-        str(entry.get("mode") or "exact"),
     )
 
 
@@ -37,13 +36,9 @@ def aggregate(entries: List[dict], malformed: int = 0) -> dict:
     totals["other"] = 0
     wall = {outcome: 0.0 for outcome in OUTCOMES}
     wall["other"] = 0.0
-    groups: Dict[Tuple[str, str, str, str], dict] = {}
+    groups: Dict[Tuple[str, str, str], dict] = {}
     failures: List[dict] = []
     hosts = set()
-    # Sampled and exact runs are distinct experiments (different memo and
-    # store keys) and never aggregate together: wall time and run counts
-    # are accounted per mode, and a group row is (app, kind, scale, mode).
-    modes: Dict[str, dict] = {}
     for entry in entries:
         outcome = entry.get("outcome", "other")
         bucket = outcome if outcome in totals else "other"
@@ -52,12 +47,6 @@ def aggregate(entries: List[dict], malformed: int = 0) -> dict:
         wall[bucket] += wall_s
         host = entry.get("host") or {}
         hosts.add((host.get("node"), host.get("python")))
-        mode = str(entry.get("mode") or "exact")
-        mode_bucket = modes.setdefault(mode, {"runs": 0, "wall_s": 0.0, "specs": set()})
-        mode_bucket["runs"] += 1
-        mode_bucket["wall_s"] += wall_s
-        if entry.get("sampling"):
-            mode_bucket["specs"].add(str(entry["sampling"]))
         group = groups.setdefault(
             _group_key(entry),
             {outcome: 0 for outcome in OUTCOMES} | {"other": 0, "wall_s": 0.0},
@@ -85,20 +74,11 @@ def aggregate(entries: List[dict], malformed: int = 0) -> dict:
         "hits": totals["store-hit"] + totals["memo-hit"],
         "wall_s": wall,
         "wall_total_s": sum(wall.values()),
-        "modes": {
-            mode: {
-                "runs": bucket["runs"],
-                "wall_s": bucket["wall_s"],
-                "specs": sorted(bucket["specs"]),
-            }
-            for mode, bucket in sorted(modes.items())
-        },
         "groups": [
             {
                 "app": key[0],
                 "kind": key[1],
                 "scale": key[2],
-                "mode": key[3],
                 **counts,
             }
             for key, counts in sorted(groups.items())
@@ -131,17 +111,6 @@ def format_summary(summary: dict) -> str:
         f"wall: {summary['wall_total_s']:.2f}s total  "
         f"(simulated {wall['ok'] + wall['failed']:.2f}s, "
         f"hits {wall['store-hit'] + wall['memo-hit']:.2f}s)",
-        "modes: "
-        + "  ".join(
-            f"{mode}:{bucket['runs']} ({bucket['wall_s']:.2f}s"
-            + (
-                f"; specs {', '.join(bucket['specs'])}"
-                if bucket["specs"]
-                else ""
-            )
-            + ")"
-            for mode, bucket in summary.get("modes", {}).items()
-        ),
         f"hosts: {summary['hosts']}"
         + (
             f"  [{summary['malformed_lines']} malformed line(s) skipped]"
@@ -154,13 +123,12 @@ def format_summary(summary: dict) -> str:
             else ""
         ),
         "",
-        f"{'app':<14} {'config':<16} {'scale':<6} {'mode':<8} {'ok':>4} "
+        f"{'app':<14} {'config':<16} {'scale':<6} {'ok':>4} "
         f"{'store':>5} {'memo':>5} {'fail':>4} {'wall_s':>8}",
     ]
     for group in summary["groups"]:
         lines.append(
             f"{group['app']:<14} {group['kind']:<16} {group['scale']:<6} "
-            f"{group.get('mode', 'exact'):<8} "
             f"{group['ok']:>4} {group['store-hit']:>5} {group['memo-hit']:>5} "
             f"{group['failed']:>4} {group['wall_s']:>8.2f}"
         )

@@ -51,7 +51,6 @@ class Job:
     app_overrides: Optional[dict] = None
     runtime_kwargs: Optional[dict] = None
     config_overrides: Optional[dict] = None
-    sampling: Optional[str] = None
     tenant: str = "default"
     #: Lower is more urgent; ties break on deadline, then submit order.
     priority: int = 5
@@ -59,7 +58,6 @@ class Job:
     #: Deadline jobs may preempt running batch jobs to get a slot.
     deadline_s: Optional[float] = None
     #: Preemptible jobs may be parked via checkpoint to free their slot.
-    #: Sampled jobs can never be parked (no snapshots in sampled mode).
     preemptible: bool = True
 
     def as_dict(self) -> dict:
@@ -89,7 +87,6 @@ class Job:
                 "app_overrides": self.app_overrides or {},
                 "runtime_kwargs": self.runtime_kwargs or {},
                 "config_overrides": self.config_overrides or {},
-                "sampling": self.sampling,
             }
         )
 
@@ -103,7 +100,6 @@ class Job:
             app_overrides=self.app_overrides,
             runtime_kwargs=self.runtime_kwargs,
             config_overrides=self.config_overrides,
-            sampling=self.sampling,
         )
 
 

@@ -461,17 +461,6 @@ class TestPreemption:
         assert [e["outcome"] for e in entries] == ["parked"]
         assert entries[0]["cycles"] > 0  # the park cycle
 
-    def test_sampled_runs_are_not_parkable(self):
-        from repro.harness import run_experiment
-        from repro.sampling import SamplingError
-
-        with pytest.raises(SamplingError, match="parked"):
-            run_experiment(
-                APP, "bt-mesi", "tiny", use_cache=False,
-                sampling="2000:200:200",
-                checkpoint={"path": "x.ckpt", "park_path": "x.park"},
-            )
-
     def test_park_without_snapshot_path_rejected(self):
         from repro.harness import run_experiment
 

@@ -1,6 +1,10 @@
 """Core model tests: op timing, big-core parameters, cycle accounting."""
 
+import ast
+from pathlib import Path
+
 from repro.cores import ops
+from repro.cores.core import Core
 
 from helpers import run_thread, tiny_machine
 
@@ -162,3 +166,35 @@ class TestBypassLoad:
         assert seen == [9]
         assert machine.l1s[1].resident(addr) is None
         assert machine.l1s[1].stats.get("loads") == 0
+
+
+class TestOneTrampoline:
+    def test_only_resume_sends_into_thread_frames(self):
+        # Every value that enters a thread generator goes through one
+        # trampoline, so fusion, ULI handler entry and the checkpoint send
+        # log are kept in one place rather than in hand-synced twins.
+        source = Path(__file__).resolve().parents[1] / "src/repro/cores/core.py"
+        tree = ast.parse(source.read_text(), filename=str(source))
+        (core_class,) = [
+            node
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "Core"
+        ]
+        senders = [
+            method.name
+            for method in core_class.body
+            if isinstance(method, ast.FunctionDef)
+            and any(
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "send"
+                for node in ast.walk(method)
+            )
+        ]
+        assert senders == ["_resume"]
+
+    def test_core_has_no_fast_forward_state(self):
+        # The deleted sampled mode parked its fast-forward state in an
+        # "ff" slot that the trampoline tested on every entry.
+        parts = {part for slot in Core.__slots__ for part in slot.split("_")}
+        assert "ff" not in parts

@@ -298,7 +298,6 @@ class TestProfiler:
         core = _ROOT + "cores/core.py"
         assert frame_layer(stack((core, "_resume"))) == "core.trampoline"
         assert frame_layer(stack((core, "_resume"), (core, "_op_load"))) == "core.ops"
-        assert frame_layer(stack((core, "_resume_ff"))) == "engine.fastforward"
         assert frame_layer(stack((_ROOT + "engine/simulator.py", "run"))) == "engine.loop"
         assert frame_layer(stack(
             (core, "_op_load"), (_ROOT + "mem/l1/mesi.py", "load"), ("/lib/heapq.py", "f"),
